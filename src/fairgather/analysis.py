@@ -10,9 +10,9 @@ integers (phi(3) = 3 * phi(1.585...)).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-
-BUDGET_EPS = 1e-9
+from fractions import Fraction
 
 
 def phi(x: float) -> float:
@@ -57,10 +57,9 @@ def elias_period_bound(c: int) -> PeriodBound:
 
 
 def budget_check(periods: list[int]) -> bool:
-    """True iff the periods fit one schedule: sum of 1/period <= 1 (+ float slack)."""
-    total = 0.0
-    for p in periods:
+    """True iff the periods fit one schedule: sum of 1/period <= 1, exactly."""
+    counts = Counter(periods)  # few distinct periods: one Fraction each keeps it fast
+    for p in counts:
         if p < 1:
             raise ValueError(f"periods are positive integers, got {p}")
-        total += 1.0 / p
-    return total <= 1.0 + BUDGET_EPS
+    return sum(Fraction(c, p) for p, c in counts.items()) <= 1

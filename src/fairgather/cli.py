@@ -63,16 +63,23 @@ def _schedule_csv(s: schedulers.Schedule, holidays: int) -> str:
 
 
 def _parse_schedule_csv(text: str) -> dict[int, set[int]]:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0].strip() != "holiday,happy":
+    rows = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+            if ln.strip() and not ln.startswith("#")]
+    if not rows or rows[0][1].strip() != "holiday,happy":
         raise ValueError("schedule CSV must start with header 'holiday,happy'")
     happy_sets: dict[int, set[int]] = {}
-    for ln in lines[1:]:
+    for lineno, ln in rows[1:]:
         t_str, _, ids = ln.partition(",")
-        t = int(t_str)
+        try:
+            t = int(t_str)
+            happy = {int(tok) for tok in ids.split(";") if tok}
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed schedule row {ln.strip()!r}") from None
+        if t < 1:
+            raise ValueError(f"line {lineno}: holidays are numbered from 1")
         if t in happy_sets:
-            raise ValueError(f"duplicate holiday {t} in schedule CSV")
-        happy_sets[t] = {int(tok) for tok in ids.split(";") if tok}
+            raise ValueError(f"line {lineno}: duplicate holiday {t} in schedule CSV")
+        happy_sets[t] = happy
     return happy_sets
 
 
@@ -186,18 +193,20 @@ def _run_verify(cfg: RunConfig, schedule_path: str) -> int:
     with open(schedule_path, encoding="utf-8") as fh:
         happy_sets = _parse_schedule_csv(fh.read())
     rep = verify.report_from_happy_sets(g, happy_sets, (1, cfg.window))
+    # Rows past the window feed no statistics, but a conflict in any row fails.
+    beyond = {t: hs for t, hs in happy_sets.items() if t > cfg.window}
+    conflicts = list(rep.independence_violations) + verify.independence_violations(g, beyond)
     lines = ["node,happy_count,first_happy,mul,detected_period,max_gap"]
     for v in sorted(rep.nodes):
         st = rep.nodes[v]
         first = st.first_happy if st.first_happy is not None else ""
         gap = st.max_gap if st.max_gap is not None else ""
         lines.append(f"{v},{len(st.happy)},{first},{st.mul},{st.detected_period},{gap}")
-    verdict = "ok" if rep.independent else "violated"
-    lines.append(f"# independence={verdict}")
-    for t, u, v in rep.independence_violations[:10]:
+    lines.append(f"# independence={'violated' if conflicts else 'ok'}")
+    for t, u, v in conflicts[:10]:
         lines.append(f"# conflict holiday={t} edge={u}-{v}")
     _emit("\n".join(lines) + "\n", cfg.output)
-    return 0 if rep.independent else 1
+    return 1 if conflicts else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_dynamic(cfg)
         if cfg.subcommand == "verify":
             return _run_verify(cfg, args.schedule_path)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"fairgather: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled subcommand {cfg.subcommand}")

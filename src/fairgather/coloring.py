@@ -125,7 +125,8 @@ def local_random_color(
         draws: dict[int, int] = {}
         for v in sorted(uncolored):
             available = [c for c in palette_of[v] if c not in forbidden[v]]
-            assert available, "palette precondition guarantees a free color"
+            if not available:
+                raise RuntimeError(f"node {v} has no free color; palette precondition broken")
             draws[v] = available[_draw_index(seed, v, log.rounds, len(available))]
             log.messages += len(peers[v])
         finalized = [

@@ -29,7 +29,7 @@ def _ceil_log2(n: int) -> int:
 
 
 class Schedule:
-    """Common happy-set queries; subclasses implement happy(v, t)."""
+    """Common interface; subclasses answer happy(v, t) and happy_set(t)."""
 
     algorithm: str
     graph: ConflictGraph
@@ -38,7 +38,7 @@ class Schedule:
         raise NotImplementedError
 
     def happy_set(self, t: int) -> set[int]:
-        return {v for v in self.graph.nodes() if self.happy(v, t)}
+        raise NotImplementedError
 
     def nodes(self) -> list[int]:
         return self.graph.nodes()
@@ -65,7 +65,37 @@ class PhasedSchedule(Schedule):
         return set(self._happy_sets[t - 1])
 
 
-class EliasSchedule(Schedule):
+class PeriodicSchedule(Schedule):
+    """Node v is happy exactly when t = residue_v (mod modulus_v).
+
+    Nodes are indexed by modulus and residue, so happy_set(t) reads one
+    bucket per distinct modulus: O(#distinct moduli + |happy set|).
+    """
+
+    def __init__(self, graph: ConflictGraph, residues: dict[int, tuple[int, int]]):
+        self.graph = graph
+        self._residues = residues  # node -> (residue, modulus)
+        self._buckets: dict[int, dict[int, list[int]]] = {}
+        for v, (residue, modulus) in residues.items():
+            self._buckets.setdefault(modulus, {}).setdefault(residue, []).append(v)
+
+    def happy(self, v: int, t: int) -> bool:
+        residue, modulus = self._residues[v]
+        return t % modulus == residue
+
+    def period(self, v: int) -> int:
+        return self._residues[v][1]
+
+    def happy_set(self, t: int) -> set[int]:
+        out: set[int] = set()
+        for modulus, by_residue in self._buckets.items():
+            bucket = by_residue.get(t % modulus)
+            if bucket:
+                out.update(bucket)
+        return out
+
+
+class EliasSchedule(PeriodicSchedule):
     """Perfectly periodic schedule driven by omega codewords of the colors.
 
     Node v is happy iff the low bits of t spell its color's codeword in
@@ -79,19 +109,12 @@ class EliasSchedule(Schedule):
     def __init__(self, graph: ConflictGraph, coloring: dict[int, int]):
         if not is_proper(graph, coloring):
             raise ValueError("coloring must be proper and cover every node")
-        self.graph = graph
         self.coloring = dict(coloring)
-        self._slots: dict[int, tuple[int, int]] = {}
-        for v, c in self.coloring.items():
+        slot_of = {}
+        for c in set(self.coloring.values()):
             code = codec.omega_encode(c)
-            self._slots[v] = (codec.code_residue(code), 1 << len(code))
-
-    def happy(self, v: int, t: int) -> bool:
-        residue, modulus = self._slots[v]
-        return t % modulus == residue
-
-    def period(self, v: int) -> int:
-        return self._slots[v][1]
+            slot_of[c] = (codec.code_residue(code), 1 << len(code))
+        super().__init__(graph, {v: slot_of[c] for v, c in self.coloring.items()})
 
     def color(self, v: int) -> int:
         return self.coloring[v]
@@ -109,21 +132,14 @@ class Slot:
         return 1 << self.level
 
 
-class SlotSchedule(Schedule):
+class SlotSchedule(PeriodicSchedule):
     """Degree-bound periodic schedule from per-node (offset, level) slots."""
 
     algorithm = "slots"
 
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
-        self.graph = graph
         self.slots = slots
-
-    def happy(self, v: int, t: int) -> bool:
-        slot = self.slots[v]
-        return t % slot.period == slot.offset
-
-    def period(self, v: int) -> int:
-        return self.slots[v].period
+        super().__init__(graph, {v: (slot.offset, slot.period) for v, slot in slots.items()})
 
 
 def phased_greedy(g: ConflictGraph, init: dict[int, int], horizon: int) -> PhasedSchedule:

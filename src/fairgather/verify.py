@@ -47,44 +47,87 @@ class GapViolation:
     bound: int
 
 
+def _border_table(seq: Sequence) -> list[int]:
+    """border[i] = length of the longest proper border of seq[:i + 1] (KMP)."""
+    border = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        while k and seq[i] != seq[k]:
+            k = border[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        border[i] = k
+    return border
+
+
 def smallest_window_period(flags: Sequence[bool]) -> int:
     """Smallest p with flags[i] == flags[i+p] across the window, if p is
     small enough to be seen twice (p <= len/2); otherwise 0."""
     n = len(flags)
     if n == 0:
         return 0
-    # classic border computation; smallest period = n - longest border
-    border = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and flags[i] != flags[k]:
-            k = border[k - 1]
-        if flags[i] == flags[k]:
-            k += 1
-        border[i] = k
-    period = n - border[-1]
+    # smallest period = n - longest border
+    period = n - _border_table(flags)[-1]
     return period if period <= n // 2 else 0
 
 
-def _node_stats(flags: list[bool], t0: int, t1: int) -> NodeStats:
-    happy = tuple(t0 + i for i, f in enumerate(flags) if f)
-    longest = run = 0
-    for f in flags:
-        run = 0 if f else run + 1
-        longest = max(longest, run)
-    if happy:
-        gaps = [b - a for a, b in zip(happy, happy[1:])]
-        gaps.append(t1 - happy[-1] + 1)
-        max_gap = max(gaps)
-    else:
-        max_gap = None
+def _smallest_hosting_period(hosts: list[int], gaps: list[int], length: int) -> int:
+    """Smallest period of a window's flag string, from its hosting positions.
+
+    hosts are the 0-based positions of the True flags (ascending, at least
+    one) in a window of the given length; gaps are their differences. A
+    period p < length - hosts[0] maps the first hosting onto another one,
+    so p = hosts[j] - hosts[0] for some j >= 1. Such a p is a period iff
+    the gap sequence has period j, hosts[j - 1] < p (no earlier hosting
+    maps back inside the window) and hosts[k - j + 1] + p >= length (the
+    last j hostings map past its end). The gap periods j come from the KMP
+    border chain, which keeps the search linear in len(hosts). Failing
+    all of these, the smallest period shifts every hosting out of the
+    window.
+    """
+    k = len(gaps)
+    if k:
+        border = _border_table(gaps)
+        b = border[-1]
+        while True:
+            j = k - b
+            p = hosts[j] - hosts[0]
+            if hosts[j - 1] < p and hosts[k - j + 1] + p >= length:
+                return p
+            if b == 0:
+                break
+            b = border[b - 1]
+    return max(length - hosts[0], hosts[-1] + 1)
+
+
+def _hosting_stats(happy: list[int], t0: int, t1: int) -> NodeStats:
+    """Statistics of one node from its ascending hosting holidays in [t0, t1]."""
+    length = t1 - t0 + 1
+    if not happy:
+        return NodeStats(happy=(), mul=length, detected_period=1 if length >= 2 else 0,
+                         first_happy=None, max_gap=None)
+    gaps = [b - a for a, b in zip(happy, happy[1:])]
+    widest = max(gaps, default=0)
+    tail = t1 - happy[-1] + 1
+    period = _smallest_hosting_period([t - t0 for t in happy], gaps, length)
     return NodeStats(
-        happy=happy,
-        mul=longest,
-        detected_period=smallest_window_period(flags),
-        first_happy=happy[0] if happy else None,
-        max_gap=max_gap,
+        happy=tuple(happy),
+        mul=max(happy[0] - t0, widest - 1, tail - 1),
+        detected_period=period if period <= length // 2 else 0,
+        first_happy=happy[0],
+        max_gap=max(widest, tail),
     )
+
+
+def _audit_row(t: int, hs: set[int], adj: Mapping[int, list[int]], violations: list) -> None:
+    """Reject unknown nodes in hs; append (t, u, w) for each edge u < w inside hs."""
+    if not hs <= adj.keys():
+        unknown = sorted(v for v in hs if v not in adj)
+        raise ValueError(f"holiday {t} lists unknown nodes {unknown[:3]}")
+    for u in hs:
+        nbrs = adj[u]
+        if not hs.isdisjoint(nbrs):
+            violations.extend((t, u, w) for w in nbrs if u < w and w in hs)
 
 
 def report_from_happy_sets(
@@ -92,7 +135,11 @@ def report_from_happy_sets(
     happy_sets: Mapping[int, set[int]],
     window: tuple[int, int],
 ) -> ScheduleReport:
-    """Statistics and independence audit from explicit per-holiday happy sets."""
+    """Statistics and independence audit from explicit per-holiday happy sets.
+
+    One pass over the window's happy sets builds each node's hosting list;
+    the cost is O(n + hosting events + edges at happy nodes).
+    """
     t0, t1 = window
     if t0 < 1 or t1 < t0:
         raise ValueError(f"bad window {window}")
@@ -100,24 +147,28 @@ def report_from_happy_sets(
     if missing:
         raise ValueError(f"happy sets missing holidays {missing[:3]}")
 
-    violations = []
-    nodes = g.nodes()
-    node_set = set(nodes)
-    flags = {v: [] for v in nodes}
+    adj = {v: g.neighbors(v) for v in g.nodes()}
+    hosting: dict[int, list[int]] = {v: [] for v in adj}
+    violations: list[tuple[int, int, int]] = []
     for t in range(t0, t1 + 1):
         hs = happy_sets[t]
-        unknown = hs - node_set
-        if unknown:
-            raise ValueError(f"holiday {t} lists unknown nodes {sorted(unknown)[:3]}")
+        _audit_row(t, hs, adj, violations)
         for u in hs:
-            for w in g.neighbors(u):
-                if u < w and w in hs:
-                    violations.append((t, u, w))
-        for v in nodes:
-            flags[v].append(v in hs)
+            hosting[u].append(t)
 
-    stats = {v: _node_stats(flags[v], t0, t1) for v in nodes}
+    stats = {v: _hosting_stats(hosting[v], t0, t1) for v in adj}
     return ScheduleReport(window=(t0, t1), nodes=stats, independence_violations=tuple(violations))
+
+
+def independence_violations(
+    g: ConflictGraph, happy_sets: Mapping[int, set[int]]
+) -> list[tuple[int, int, int]]:
+    """(holiday, u, v) for every edge whose endpoints host together, by holiday."""
+    adj = {v: g.neighbors(v) for v in g.nodes()}
+    violations: list[tuple[int, int, int]] = []
+    for t in sorted(happy_sets):
+        _audit_row(t, happy_sets[t], adj, violations)
+    return violations
 
 
 def report(g: ConflictGraph, s: Schedule, window: tuple[int, int]) -> ScheduleReport:

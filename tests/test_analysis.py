@@ -63,6 +63,13 @@ def test_budget_check_examples():
         budget_check([0])
 
 
+def test_budget_check_is_exact():
+    # both sums exceed 1 by less than a float epsilon could resolve
+    assert not budget_check([2, 2, 2**40])
+    assert not budget_check([1, 10**10])
+    assert budget_check([2, 4, 8, 8])
+
+
 def test_period_bound_dominates_code_length_small_range():
     for c in range(1, 2049):
         b = elias_period_bound(c)

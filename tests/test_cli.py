@@ -1,7 +1,9 @@
+import functools
 import os
 
 import pytest
 
+import fairgather.cli as cli
 from fairgather.cli import main
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
@@ -149,3 +151,41 @@ def test_malformed_graph_reports_line(tmp_path, capsys):
     code, _, err = run(capsys, ["color", "--input", g])
     assert code == 1
     assert "line 2" in err
+
+
+PATH3 = "0 1\n1 2\n"
+
+
+def test_verify_audits_rows_past_the_window(tmp_path, capsys):
+    g = write(tmp_path, "path.txt", PATH3)
+    csv = write(tmp_path, "s.csv", "holiday,happy\n1,0;2\n2,1\n3,0;1\n")
+    code, out, _ = run(capsys, ["verify", "--input", g, "--schedule", csv, "--window", "2"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-2:] == ["# independence=violated", "# conflict holiday=3 edge=0-1"]
+    assert lines[1:4] == ["0,1,1,1,0,2", "1,1,2,1,0,1", "2,1,1,1,0,2"]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("x,0", "line 3: malformed schedule row 'x,0'"),
+    ("2,0;y", "line 3: malformed schedule row '2,0;y'"),
+    ("0,0;1", "line 3: holidays are numbered from 1"),
+    ("1,2", "line 3: duplicate holiday 1"),
+])
+def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
+    g = write(tmp_path, "path.txt", PATH3)
+    csv = write(tmp_path, "s.csv", f"holiday,happy\n1,1\n{row}\n")
+    code, out, err = run(capsys, ["verify", "--input", g, "--schedule", csv, "--window", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"fairgather: {message}")
+
+
+def test_coloring_round_limit_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "local_random_color",
+                        functools.partial(cli.local_random_color, max_rounds=0))
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    code, out, err = run(capsys, ["color", "--input", g, "--mode", "random"])
+    assert code == 1
+    assert out == ""
+    assert err == "fairgather: coloring did not terminate within 0 rounds\n"

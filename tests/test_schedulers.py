@@ -300,3 +300,42 @@ def test_every_scheduler_yields_independent_happy_sets(seed, n):
             happy = s.happy_set(t)
             for u, v in g.edges():
                 assert not (u in happy and v in happy)
+
+
+# ------------------------------------------- bucketed happy_set vs scan
+
+
+def _scan(s, t):
+    return {v for v in s.graph.nodes() if s.happy(v, t)}
+
+
+def _assert_happy_sets_match_scan(s):
+    horizon = 4 * max((s.period(v) for v in s.graph.nodes()), default=1)
+    for t in range(1, horizon + 1):
+        assert s.happy_set(t) == _scan(s, t), t
+
+
+@given(st.integers(0, 10**6), st.integers(1, 16), st.sampled_from([0.1, 0.3, 0.6]))
+@settings(max_examples=40, deadline=None)
+def test_periodic_happy_set_matches_scan(seed, n, p):
+    g = gnp_random_graph(n, p, seed=seed)
+    slots_d, _ = degree_slots_distributed(g, seed=seed)
+    for s in (elias_schedule(g, greedy_color(g)), degree_slots_sequential(g), slots_d):
+        _assert_happy_sets_match_scan(s)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_happy_set_matches_scan_after_dynamic_events(seed):
+    import random
+
+    rng = random.Random(seed)
+    g = gnp_random_graph(10, 0.25, seed=seed % 100)
+    s = elias_schedule(g, greedy_color(g))
+    for _ in range(rng.randint(1, 15)):
+        u, v = rng.sample(range(12), 2)  # ids 10 and 11 are new nodes
+        if s.graph.has_edge(u, v):
+            s = dynamic_remove(s, u, v, recolor_threshold=rng.choice([1.0, 2.0]))
+        else:
+            s = dynamic_insert(s, u, v)
+    _assert_happy_sets_match_scan(s)

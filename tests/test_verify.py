@@ -8,9 +8,11 @@ from fairgather.coloring import greedy_color
 from fairgather.graph import ConflictGraph, complete_graph, cycle_graph, gnp_random_graph, path_graph
 from fairgather.schedulers import degree_slots_sequential, elias_schedule, phased_greedy
 from fairgather.verify import (
+    NodeStats,
     brute_force_mis,
     check_gap_bounds,
     happy_set_vs_mis,
+    independence_violations,
     report,
     report_from_happy_sets,
     smallest_window_period,
@@ -183,3 +185,93 @@ def test_detected_period_divides_true_period(seed, n):
         rep = report(g, s, (1, 2 * true_period))
         detected = rep.nodes[v].detected_period
         assert detected > 0 and true_period % detected == 0
+
+
+# ----------------------------- hosting-list audit vs flag-based reference
+
+
+def _flag_node_stats(flags, t0, t1):
+    """Reference NodeStats from the window's flag string (KMP border period)."""
+    happy = tuple(t0 + i for i, f in enumerate(flags) if f)
+    longest = run = 0
+    for f in flags:
+        run = 0 if f else run + 1
+        longest = max(longest, run)
+    border, k = [0] * len(flags), 0
+    for i in range(1, len(flags)):
+        while k and flags[i] != flags[k]:
+            k = border[k - 1]
+        if flags[i] == flags[k]:
+            k += 1
+        border[i] = k
+    period = len(flags) - border[-1]
+    if happy:
+        gaps = [b - a for a, b in zip(happy, happy[1:])] + [t1 - happy[-1] + 1]
+        max_gap = max(gaps)
+    else:
+        max_gap = None
+    return NodeStats(
+        happy=happy,
+        mul=longest,
+        detected_period=period if period <= len(flags) // 2 else 0,
+        first_happy=happy[0] if happy else None,
+        max_gap=max_gap,
+    )
+
+
+def _flags(draw_bits, period, flips):
+    """A periodic flag string with a few flipped positions."""
+    flags = [draw_bits[i % period] for i in range(len(draw_bits))]
+    for i in flips:
+        flags[i % len(flags)] = not flags[i % len(flags)]
+    return flags
+
+
+@given(
+    st.lists(st.booleans(), min_size=1, max_size=48),
+    st.integers(1, 48),
+    st.lists(st.integers(0, 47), max_size=2),
+    st.integers(1, 5),
+)
+@settings(max_examples=400, deadline=None)
+def test_hosting_stats_match_flag_reference(bits, period, flips, t0):
+    flags = _flags(bits, period, flips)
+    t1 = t0 + len(flags) - 1
+    g = single_node_graph()
+    happy_sets = {t0 + i: ({0} if f else set()) for i, f in enumerate(flags)}
+    rep = report_from_happy_sets(g, happy_sets, (t0, t1))
+    assert rep.nodes[0] == _flag_node_stats(flags, t0, t1)
+
+
+def _scan_violations(g, happy_sets, t0, t1):
+    """Reference: every happy node's neighbor list, in happy-set order."""
+    out = []
+    for t in range(t0, t1 + 1):
+        hs = happy_sets[t]
+        for u in hs:
+            for w in g.neighbors(u):
+                if u < w and w in hs:
+                    out.append((t, u, w))
+    return out
+
+
+@given(st.integers(0, 10**6), st.integers(2, 30))
+@settings(max_examples=40, deadline=None)
+def test_planted_conflicts_listed_in_reference_order(seed, n):
+    import random
+
+    rng = random.Random(seed)
+    g = gnp_random_graph(n, 0.3, seed=seed)
+    happy_sets = {t: {v for v in g.nodes() if rng.random() < 0.4} for t in range(1, 9)}
+    expected = _scan_violations(g, happy_sets, 1, 8)
+    rep = report_from_happy_sets(g, happy_sets, (1, 8))
+    assert list(rep.independence_violations) == expected
+    assert independence_violations(g, happy_sets) == expected
+
+
+def test_independence_violations_checks_every_row():
+    g = path_graph(3)
+    happy_sets = {3: {0, 1}, 1: {0, 2}, 2: {1, 2}}
+    assert independence_violations(g, happy_sets) == [(2, 1, 2), (3, 0, 1)]
+    with pytest.raises(ValueError, match="unknown"):
+        independence_violations(g, {1: {7}})
