@@ -2,8 +2,9 @@
 
 Subcommands: gen, color, schedule, bounds, satisfy, dynamic, verify.
 Pipelines compose through files only, and every run with the same
-configuration produces byte-identical output. The seed defaults to the
-FAIRGATHER_SEED environment variable, then to 0.
+configuration produces byte-identical output. Each subcommand's handler
+takes the parsed argparse namespace. For subcommands with --seed, the seed
+defaults to the FAIRGATHER_SEED environment variable, then to 0.
 """
 
 from __future__ import annotations
@@ -11,34 +12,24 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from . import analysis, codec, graph, satisfaction, schedulers, verify
 from .coloring import greedy_color, local_random_color
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible invocation; identical configs give identical bytes."""
-
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    algorithm: str | None = None
-    mode: str | None = None
-    kind: str | None = None
-    nodes: int = 0
-    p: float = 0.1
-    holidays: int = 1
-    window: int = 1
-    seed: int = 0
-    events: str | None = None
-    threshold: float = 2.0
-    max_color: int = 1
-
-
 def _default_seed() -> int:
-    return int(os.environ.get("FAIRGATHER_SEED", "0"))
+    raw = os.environ.get("FAIRGATHER_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FAIRGATHER_SEED must be an integer, got {raw!r}") from None
+
+
+def _holidays(args: argparse.Namespace) -> int:
+    if args.holidays < 1:
+        raise ValueError(f"--holidays must be at least 1, got {args.holidays}")
+    return args.holidays
 
 
 def _load_graph(path: str) -> graph.ConflictGraph:
@@ -54,11 +45,11 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _schedule_csv(s: schedulers.Schedule, holidays: int) -> str:
+def _schedule_csv(happy_sets: Iterable[set[int]]) -> str:
+    """One row per happy set, holidays numbered from 1."""
     lines = ["holiday,happy"]
-    for t in range(1, holidays + 1):
-        happy = ";".join(str(v) for v in sorted(s.happy_set(t)))
-        lines.append(f"{t},{happy}")
+    for t, happy in enumerate(happy_sets, start=1):
+        lines.append(f"{t},{';'.join(map(str, sorted(happy)))}")
     return "\n".join(lines) + "\n"
 
 
@@ -83,71 +74,68 @@ def _parse_schedule_csv(text: str) -> dict[int, set[int]]:
     return happy_sets
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    builders = {
-        "path": lambda: graph.path_graph(cfg.nodes),
-        "cycle": lambda: graph.cycle_graph(cfg.nodes),
-        "clique": lambda: graph.complete_graph(cfg.nodes),
-        "star": lambda: graph.star_graph(cfg.nodes - 1),
-        "gnp": lambda: graph.gnp_random_graph(cfg.nodes, cfg.p, cfg.seed),
-    }
-    g = builders[cfg.kind]()
-    header = f"# kind={cfg.kind} nodes={cfg.nodes} p={cfg.p} seed={cfg.seed}\n"
-    _emit(header + g.to_edge_list(), cfg.output)
+_GRAPHS = {
+    "path": lambda args: graph.path_graph(args.nodes),
+    "cycle": lambda args: graph.cycle_graph(args.nodes),
+    "clique": lambda args: graph.complete_graph(args.nodes),
+    "star": lambda args: graph.star_graph(args.nodes - 1),
+    "gnp": lambda args: graph.gnp_random_graph(args.nodes, args.p, args.seed),
+}
+
+_SCHEDULES = {
+    "phased": lambda g, args: schedulers.phased_greedy(g, greedy_color(g), args.holidays),
+    "elias": lambda g, args: schedulers.elias_schedule(g, greedy_color(g)),
+    "slots": lambda g, args: schedulers.degree_slots_sequential(g),
+    "slots-dist": lambda g, args: schedulers.degree_slots_distributed(g, seed=args.seed)[0],
+}
+
+
+def _cmd_gen(args: argparse.Namespace) -> int:
+    g = _GRAPHS[args.kind](args)
+    header = f"# kind={args.kind} nodes={args.nodes} p={args.p} seed={args.seed}\n"
+    _emit(header + g.to_edge_list(), args.output)
     return 0
 
 
-def _cmd_color(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
+def _cmd_color(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
     trailer = ""
-    if cfg.mode == "greedy":
+    if args.mode == "greedy":
         coloring = greedy_color(g)
     else:
-        coloring, log = local_random_color(g, seed=cfg.seed)
+        coloring, log = local_random_color(g, seed=args.seed)
         trailer = f"# rounds={log.rounds}\n"
     lines = [f"{v} {coloring[v]}" for v in sorted(g.nodes())]
-    _emit("\n".join(lines) + "\n" + trailer, cfg.output)
+    _emit("\n".join(lines) + "\n" + trailer, args.output)
     return 0
 
 
-def _build_schedule(g: graph.ConflictGraph, cfg: RunConfig) -> schedulers.Schedule:
-    if cfg.algorithm == "phased":
-        return schedulers.phased_greedy(g, greedy_color(g), cfg.holidays)
-    if cfg.algorithm == "elias":
-        return schedulers.elias_schedule(g, greedy_color(g))
-    if cfg.algorithm == "slots":
-        return schedulers.degree_slots_sequential(g)
-    if cfg.algorithm == "slots-dist":
-        s, _ = schedulers.degree_slots_distributed(g, seed=cfg.seed)
-        return s
-    raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-
-
-def _cmd_schedule(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
-    s = _build_schedule(g, cfg)
-    _emit(_schedule_csv(s, cfg.holidays), cfg.output)
+def _cmd_schedule(args: argparse.Namespace) -> int:
+    holidays = _holidays(args)
+    g = _load_graph(args.input)
+    s = _SCHEDULES[args.algorithm](g, args)
+    _emit(_schedule_csv(s.happy_set(t) for t in range(1, holidays + 1)), args.output)
     return 0
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = ["color,rho,period,phi,upper_bound"]
-    for c in range(1, cfg.max_color + 1):
+    for c in range(1, args.max_color + 1):
         r = codec.rho(c)
         b = analysis.elias_period_bound(c)
         lines.append(f"{c},{r},{1 << r},{b.phi_value:.6g},{b.upper_bound:.6g}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _cmd_satisfy(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
+def _cmd_satisfy(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
     orientation, count = satisfaction.max_satisfaction(g)
     lines = [f"satisfied {count}"]
     for (u, v), head in sorted(orientation.items()):
         tail = v if head == u else u
         lines.append(f"{tail}->{head}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -170,31 +158,33 @@ def _parse_events(text: str) -> dict[int, list[tuple[str, int, int]]]:
     return events
 
 
-def _cmd_dynamic(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
-    with open(cfg.events, encoding="utf-8") as fh:
+def _cmd_dynamic(args: argparse.Namespace) -> int:
+    holidays = _holidays(args)
+    g = _load_graph(args.input)
+    with open(args.events, encoding="utf-8") as fh:
         events = _parse_events(fh.read())
-    s = schedulers.elias_schedule(g, greedy_color(g))
-    lines = ["holiday,happy"]
-    for t in range(1, cfg.holidays + 1):
-        for op, u, v in events.get(t, ()):
-            if op == "+":
-                s = schedulers.dynamic_insert(s, u, v)
-            else:
-                s = schedulers.dynamic_remove(s, u, v, recolor_threshold=cfg.threshold)
-        happy = ";".join(str(v) for v in sorted(s.happy_set(t)))
-        lines.append(f"{t},{happy}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+
+    def replay() -> Iterator[set[int]]:
+        s = schedulers.elias_schedule(g, greedy_color(g))
+        for t in range(1, holidays + 1):
+            for op, u, v in events.get(t, ()):
+                if op == "+":
+                    s = schedulers.dynamic_insert(s, u, v)
+                else:
+                    s = schedulers.dynamic_remove(s, u, v, recolor_threshold=args.threshold)
+            yield s.happy_set(t)
+
+    _emit(_schedule_csv(replay()), args.output)
     return 0
 
 
-def _run_verify(cfg: RunConfig, schedule_path: str) -> int:
-    g = _load_graph(cfg.input)
-    with open(schedule_path, encoding="utf-8") as fh:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
+    with open(args.schedule_path, encoding="utf-8") as fh:
         happy_sets = _parse_schedule_csv(fh.read())
-    rep = verify.report_from_happy_sets(g, happy_sets, (1, cfg.window))
+    rep = verify.report_from_happy_sets(g, happy_sets, (1, args.window))
     # Rows past the window feed no statistics, but a conflict in any row fails.
-    beyond = {t: hs for t, hs in happy_sets.items() if t > cfg.window}
+    beyond = {t: hs for t, hs in happy_sets.items() if t > args.window}
     conflicts = list(rep.independence_violations) + verify.independence_violations(g, beyond)
     lines = ["node,happy_count,first_happy,mul,detected_period,max_gap"]
     for v in sorted(rep.nodes):
@@ -205,7 +195,7 @@ def _run_verify(cfg: RunConfig, schedule_path: str) -> int:
     lines.append(f"# independence={'violated' if conflicts else 'ok'}")
     for t, u, v in conflicts[:10]:
         lines.append(f"# conflict holiday={t} edge={u}-{v}")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 1 if conflicts else 0
 
 
@@ -216,90 +206,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gen", help="emit a test graph in edge-list format")
-    p.add_argument("--kind", required=True, choices=["path", "cycle", "clique", "star", "gnp"])
+    def command(name: str, func: Callable[[argparse.Namespace], int],
+                summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "emit a test graph in edge-list format")
+    p.add_argument("--kind", required=True, choices=list(_GRAPHS))
     p.add_argument("--nodes", required=True, type=int)
     p.add_argument("--p", type=float, default=0.1, help="edge probability for gnp")
     p.add_argument("--seed", type=int)
-    p.add_argument("--output")
 
-    p = sub.add_parser("color", help="color a graph")
+    p = command("color", _cmd_color, "color a graph")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", default="greedy", choices=["greedy", "random"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--output")
 
-    p = sub.add_parser("schedule", help="emit a happy-set CSV for a schedule")
+    p = command("schedule", _cmd_schedule, "emit a happy-set CSV for a schedule")
     p.add_argument("--input", required=True)
-    p.add_argument("--algorithm", required=True,
-                   choices=["phased", "elias", "slots", "slots-dist"])
+    p.add_argument("--algorithm", required=True, choices=list(_SCHEDULES))
     p.add_argument("--holidays", required=True, type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--output")
 
-    p = sub.add_parser("bounds", help="period bound table per color")
-    p.add_argument("--max-color", required=True, type=int, dest="max_color")
-    p.add_argument("--output")
+    p = command("bounds", _cmd_bounds, "period bound table per color")
+    p.add_argument("--max-color", required=True, type=int)
 
-    p = sub.add_parser("satisfy", help="maximum-satisfaction orientation")
+    p = command("satisfy", _cmd_satisfy, "maximum-satisfaction orientation")
     p.add_argument("--input", required=True)
-    p.add_argument("--output")
 
-    p = sub.add_parser("dynamic", help="replay edge events against the periodic schedule")
+    p = command("dynamic", _cmd_dynamic, "replay edge events against the periodic schedule")
     p.add_argument("--input", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--holidays", required=True, type=int)
     p.add_argument("--threshold", type=float, default=2.0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
 
-    p = sub.add_parser("verify", help="audit a schedule CSV against its graph")
+    p = command("verify", _cmd_verify, "audit a schedule CSV against its graph")
     p.add_argument("--input", required=True)
     p.add_argument("--schedule", required=True, dest="schedule_path")
     p.add_argument("--window", required=True, type=int)
-    p.add_argument("--output")
 
+    for p in sub.choices.values():
+        p.add_argument("--output")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        algorithm=getattr(args, "algorithm", None),
-        mode=getattr(args, "mode", None),
-        kind=getattr(args, "kind", None),
-        nodes=getattr(args, "nodes", 0),
-        p=getattr(args, "p", 0.1),
-        holidays=getattr(args, "holidays", 1),
-        window=getattr(args, "window", 1),
-        seed=seed,
-        events=getattr(args, "events", None),
-        threshold=getattr(args, "threshold", 2.0),
-        max_color=getattr(args, "max_color", 1),
-    )
     try:
-        if cfg.subcommand == "gen":
-            return _cmd_gen(cfg)
-        if cfg.subcommand == "color":
-            return _cmd_color(cfg)
-        if cfg.subcommand == "schedule":
-            return _cmd_schedule(cfg)
-        if cfg.subcommand == "bounds":
-            return _cmd_bounds(cfg)
-        if cfg.subcommand == "satisfy":
-            return _cmd_satisfy(cfg)
-        if cfg.subcommand == "dynamic":
-            return _cmd_dynamic(cfg)
-        if cfg.subcommand == "verify":
-            return _run_verify(cfg, args.schedule_path)
+        if "seed" in args and args.seed is None:
+            args.seed = _default_seed()
+        return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"fairgather: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled subcommand {cfg.subcommand}")
 
 
 if __name__ == "__main__":

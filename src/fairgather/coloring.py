@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .graph import ConflictGraph
 
@@ -35,9 +35,23 @@ class RoundLog:
 
 def is_proper(g: ConflictGraph, coloring: Mapping[int, int]) -> bool:
     """True iff every edge has distinct endpoint colors and every node is colored."""
-    if any(v not in coloring for v in g.nodes()):
+    nodes = g.nodes()
+    if any(v not in coloring for v in nodes):
         return False
-    return all(coloring[u] != coloring[v] for u, v in g.edges())
+    # Each edge once, from its lower endpoint; g.edges() would sort all of them.
+    return all(coloring[u] != coloring[w] for u in nodes for w in g.neighbors(u) if u < w)
+
+
+def first_fit(taken: Container[int], start: int = 1) -> int:
+    """Smallest integer >= start that is not in taken.
+
+    The one greedy step behind every construction: first-fit colors,
+    phased recoloring and degree-bound slot offsets.
+    """
+    c = start
+    while c in taken:
+        c += 1
+    return c
 
 
 def greedy_color(g: ConflictGraph, order: Sequence[int] | None = None) -> dict[int, int]:
@@ -51,21 +65,13 @@ def greedy_color(g: ConflictGraph, order: Sequence[int] | None = None) -> dict[i
         raise ValueError("order must be a permutation of the graph's nodes")
     coloring: dict[int, int] = {}
     for v in nodes:
-        taken = {coloring[u] for u in g.neighbors(v) if u in coloring}
-        c = 1
-        while c in taken:
-            c += 1
-        coloring[v] = c
+        coloring[v] = smallest_free_color(g, coloring, v)
     return coloring
 
 
 def smallest_free_color(g: ConflictGraph, coloring: Mapping[int, int], v: int) -> int:
     """Smallest positive color not used by any colored neighbor of v."""
-    taken = {coloring[u] for u in g.neighbors(v) if u in coloring}
-    c = 1
-    while c in taken:
-        c += 1
-    return c
+    return first_fit({coloring[u] for u in g.neighbors(v) if u in coloring})
 
 
 def _draw_index(seed: int, node: int, round_no: int, size: int) -> int:

@@ -17,9 +17,10 @@ frozen once built; the dynamic edge operations return new schedule values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import codec
-from .coloring import RoundLog, is_proper, local_random_color, smallest_free_color
+from .coloring import RoundLog, first_fit, is_proper, local_random_color, smallest_free_color
 from .graph import ConflictGraph
 
 
@@ -39,9 +40,6 @@ class Schedule:
 
     def happy_set(self, t: int) -> set[int]:
         raise NotImplementedError
-
-    def nodes(self) -> list[int]:
-        return self.graph.nodes()
 
 
 class PhasedSchedule(Schedule):
@@ -166,13 +164,10 @@ def phased_greedy(g: ConflictGraph, init: dict[int, int], horizon: int) -> Phase
         # Reading live colors equals reading the phase-start snapshot: no two
         # happy nodes are adjacent, so no recoloring is visible to another.
         for v in happy:
-            taken = {col[u] for u in g.neighbors(v)}
-            s = i + 1
-            while s in taken:
-                s += 1
-            if s > i + g.degree(v) + 1:
+            nbrs = g.neighbors(v)
+            col[v] = first_fit({col[u] for u in nbrs}, start=i + 1)
+            if col[v] > i + len(nbrs) + 1:
                 raise AssertionError("greedy recolor escaped its pigeonhole window")
-            col[v] = s
         happy_sets.append(frozenset(happy))
     return PhasedSchedule(g.copy(), horizon, happy_sets)
 
@@ -194,13 +189,10 @@ def degree_slots_sequential(g: ConflictGraph) -> SlotSchedule:
     for v in sorted(g.nodes(), key=lambda v: (-g.degree(v), v)):
         j = _ceil_log2(g.degree(v) + 1)
         modulus = 1 << j
-        blocked = {slots[u].offset % modulus for u in g.neighbors(v) if u in slots}
-        for x in range(modulus):
-            if x not in blocked:
-                slots[v] = Slot(offset=x, level=j)
-                break
-        else:
+        x = first_fit({slots[u].offset % modulus for u in g.neighbors(v) if u in slots}, start=0)
+        if x >= modulus:
             raise AssertionError(f"no free offset for node {v}; assignment order is broken")
+        slots[v] = Slot(offset=x, level=j)
     return SlotSchedule(g.copy(), slots)
 
 
@@ -237,13 +229,18 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[SlotSched
     return SlotSchedule(g.copy(), slots), log
 
 
-def slot_conflicts(schedule: SlotSchedule) -> list[tuple[int, int]]:
-    """Edges whose endpoints would ever host together (empty for a valid assignment)."""
+def periodic_conflicts(s: PeriodicSchedule) -> list[tuple[int, int]]:
+    """Edges whose endpoints host together on some holiday, in edge order.
+
+    Both endpoints host on some t iff r_u = r_v (mod gcd(m_u, m_v)) (Chinese
+    remainder theorem), and for the power-of-two moduli built here the gcd
+    is the smaller modulus. An empty list proves independence for every t.
+    """
     bad = []
-    for u, v in schedule.graph.edges():
-        su, sv = schedule.slots[u], schedule.slots[v]
-        m = 1 << min(su.level, sv.level)
-        if su.offset % m == sv.offset % m:
+    for u, v in s.graph.edges():
+        (ru, mu), (rv, mv) = s._residues[u], s._residues[v]
+        m = gcd(mu, mv)
+        if ru % m == rv % m:
             bad.append((u, v))
     return bad
 

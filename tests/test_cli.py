@@ -189,3 +189,45 @@ def test_coloring_round_limit_exits_1(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "fairgather: coloring did not terminate within 0 rounds\n"
+
+
+def test_malformed_seed_env_only_matters_with_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FAIRGATHER_SEED", "abc")
+    code, out, _ = run(capsys, ["bounds", "--max-color", "2"])
+    assert code == 0
+    assert out.startswith("color,rho,period")
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    code, out, err = run(capsys, ["schedule", "--input", g, "--algorithm", "slots-dist",
+                                  "--holidays", "4"])
+    assert code == 1
+    assert out == ""
+    assert err == "fairgather: FAIRGATHER_SEED must be an integer, got 'abc'\n"
+    code, _, _ = run(capsys, ["schedule", "--input", g, "--algorithm", "slots-dist",
+                              "--holidays", "4", "--seed", "3"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--algorithm", "phased"],
+    ["schedule", "--algorithm", "elias"],
+    ["schedule", "--algorithm", "slots"],
+    ["schedule", "--algorithm", "slots-dist"],
+    ["dynamic", "--events", "EVENTS"],
+])
+@pytest.mark.parametrize("holidays", ["0", "-3"])
+def test_holidays_below_one_exit_1(tmp_path, capsys, argv, holidays):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    events = write(tmp_path, "e.txt", "1 - 0 1\n")
+    argv = [events if a == "EVENTS" else a for a in argv]
+    code, out, err = run(capsys, argv + ["--input", g, "--holidays", holidays])
+    assert code == 1
+    assert out == ""
+    assert err == f"fairgather: --holidays must be at least 1, got {holidays}\n"
+
+
+def test_dynamic_has_no_seed_flag(tmp_path):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    events = write(tmp_path, "e.txt", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamic", "--input", g, "--events", events, "--holidays", "2", "--seed", "1"])
+    assert exc.value.code == 2

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -117,3 +118,29 @@ def test_termination_within_logarithmic_rounds_sample():
         _, log = local_random_color(g, seed=seed)
         hits += log.rounds <= limit
     assert hits >= 9
+
+
+def _is_proper_edge_list(g, coloring):
+    """The former form of is_proper over the sorted edge list, kept as the reference."""
+    if any(v not in coloring for v in g.nodes()):
+        return False
+    return all(coloring[u] != coloring[v] for u, v in g.edges())
+
+
+@given(st.integers(0, 10**6), st.integers(0, 14), st.sampled_from(["greedy", "random", "clash", "partial"]))
+@settings(max_examples=80, deadline=None)
+def test_is_proper_matches_edge_list_reference(seed, n, kind):
+    rng = random.Random(seed)
+    g = gnp_random_graph(n, 0.3, seed=seed)
+    coloring = greedy_color(g)
+    if kind == "random":
+        coloring = {v: rng.randint(1, 3) for v in g.nodes()}
+    elif kind == "clash" and g.num_edges():
+        u, v = rng.choice(g.edges())
+        coloring[v] = coloring[u]
+    elif kind == "partial" and coloring:
+        del coloring[rng.choice(g.nodes())]
+    expected = _is_proper_edge_list(g, coloring)
+    assert is_proper(g, coloring) == expected
+    if kind == "greedy" or (kind == "clash" and g.num_edges()) or (kind == "partial" and n):
+        assert expected == (kind == "greedy")

@@ -3,16 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairgather.codec import omega_encode, rho
-from fairgather.coloring import greedy_color, is_proper
+from fairgather.coloring import greedy_color, is_proper, local_random_color
 from fairgather.graph import ConflictGraph, complete_graph, gnp_random_graph, path_graph, star_graph
 from fairgather.schedulers import (
+    Slot,
+    SlotSchedule,
     degree_slots_distributed,
     degree_slots_sequential,
     dynamic_insert,
     dynamic_remove,
     elias_schedule,
+    periodic_conflicts,
     phased_greedy,
-    slot_conflicts,
 )
 
 
@@ -140,7 +142,7 @@ def test_sequential_slots_no_conflicts_and_period_bound():
     for seed in range(5):
         g = gnp_random_graph(50, 0.1, seed=seed)
         s = degree_slots_sequential(g)
-        assert slot_conflicts(s) == []
+        assert periodic_conflicts(s) == []
         for v in g.nodes():
             d = g.degree(v)
             assert s.period(v) == 1 << d.bit_length()  # 2 ** ceil(log2(d + 1))
@@ -186,7 +188,33 @@ def test_distributed_slots_reproducible_and_conflict_free():
     b, lb = degree_slots_distributed(g, seed=77)
     assert a.slots == b.slots
     assert (la.rounds, la.messages) == (lb.rounds, lb.messages)
-    assert slot_conflicts(a) == []
+    assert periodic_conflicts(a) == []
+
+
+def test_periodic_conflicts_certifies_elias_schedules():
+    for seed in range(5):
+        g = gnp_random_graph(50, 0.1, seed=seed)
+        random_coloring, _ = local_random_color(g, seed=seed)
+        for coloring in (greedy_color(g), random_coloring):
+            assert periodic_conflicts(elias_schedule(g, coloring)) == []
+
+
+@given(st.integers(0, 10**6), st.integers(2, 10))
+@settings(max_examples=40, deadline=None)
+def test_periodic_conflicts_match_joint_hosting(seed, n):
+    import random
+
+    rng = random.Random(seed)
+    g = gnp_random_graph(n, 0.4, seed=seed)
+    slots = {}
+    for v in g.nodes():
+        level = rng.randint(0, 3)
+        slots[v] = Slot(offset=rng.randrange(1 << level), level=level)
+    s = SlotSchedule(g, slots)
+    horizon = max(slot.period for slot in slots.values())  # lcm of powers of two
+    joint = [(u, v) for u, v in g.edges()
+             if any(s.happy(u, t) and s.happy(v, t) for t in range(1, horizon + 1))]
+    assert periodic_conflicts(s) == joint
 
 
 def test_slot_no_joint_happiness_over_joint_period():
