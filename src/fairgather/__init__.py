@@ -14,9 +14,9 @@ from .graph import (
 from .satisfaction import alternating_schedule, brute_force_satisfaction, max_satisfaction
 from .schedulers import (
     EliasSchedule,
+    PeriodicSchedule,
     PhasedSchedule,
     Slot,
-    SlotSchedule,
     degree_slots_distributed,
     degree_slots_sequential,
     dynamic_insert,
@@ -32,10 +32,10 @@ __all__ = [
     "ConflictGraph",
     "EliasSchedule",
     "PeriodBound",
+    "PeriodicSchedule",
     "PhasedSchedule",
     "RoundLog",
     "Slot",
-    "SlotSchedule",
     "alternating_schedule",
     "brute_force_mis",
     "brute_force_satisfaction",

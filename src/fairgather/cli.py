@@ -139,8 +139,9 @@ def _cmd_satisfy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_events(text: str) -> dict[int, list[tuple[str, int, int]]]:
-    events: dict[int, list[tuple[str, int, int]]] = {}
+def _parse_events(text: str) -> dict[int, list[tuple[int, str, int, int]]]:
+    """Holiday -> its events as (line number, op, u, v), in file order."""
+    events: dict[int, list[tuple[int, str, int, int]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -154,7 +155,7 @@ def _parse_events(text: str) -> dict[int, list[tuple[str, int, int]]]:
             raise ValueError(f"line {lineno}: malformed event") from None
         if t < 1:
             raise ValueError(f"line {lineno}: holidays are numbered from 1")
-        events.setdefault(t, []).append((parts[1], u, v))
+        events.setdefault(t, []).append((lineno, parts[1], u, v))
     return events
 
 
@@ -167,11 +168,14 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     def replay() -> Iterator[set[int]]:
         s = schedulers.elias_schedule(g, greedy_color(g))
         for t in range(1, holidays + 1):
-            for op, u, v in events.get(t, ()):
-                if op == "+":
-                    s = schedulers.dynamic_insert(s, u, v)
-                else:
-                    s = schedulers.dynamic_remove(s, u, v, recolor_threshold=args.threshold)
+            for lineno, op, u, v in events.get(t, ()):
+                try:
+                    if op == "+":
+                        s = schedulers.dynamic_insert(s, u, v)
+                    else:
+                        s = schedulers.dynamic_remove(s, u, v, recolor_threshold=args.threshold)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             yield s.happy_set(t)
 
     _emit(_schedule_csv(replay()), args.output)

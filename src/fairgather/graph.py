@@ -9,18 +9,19 @@ algorithm iterates deterministically.
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 
 
 class ConflictGraph:
     """Undirected simple graph with sorted adjacency and dynamic edge updates.
 
+    The sorted neighbor lists are the only edge store: edge lookups bisect
+    them, and each edge appears once in each endpoint's list.
     Single-writer: mutate from one task only; reads may be shared freely.
     """
 
     def __init__(self) -> None:
         self._adj: dict[int, list[int]] = {}
-        self._edges: set[tuple[int, int]] = set()
 
     @classmethod
     def from_edge_list(cls, text: str) -> "ConflictGraph":
@@ -60,20 +61,16 @@ class ConflictGraph:
         """Add edge (u, v), creating missing nodes. Rejects self-loops and duplicates."""
         if u == v:
             raise ValueError(f"self-loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in self._edges:
-            raise ValueError(f"duplicate edge {key}")
+        if self.has_edge(u, v):
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
         self.add_node(u)
         self.add_node(v)
-        self._edges.add(key)
         insort(self._adj[u], v)
         insort(self._adj[v], u)
 
     def remove_edge(self, u: int, v: int) -> None:
-        key = (u, v) if u < v else (v, u)
-        if key not in self._edges:
-            raise ValueError(f"no such edge {key}")
-        self._edges.remove(key)
+        if not self.has_edge(u, v):
+            raise ValueError(f"no such edge {(min(u, v), max(u, v))}")
         self._adj[u].remove(v)
         self._adj[v].remove(u)
 
@@ -81,15 +78,18 @@ class ConflictGraph:
         return v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edges
+        """O(log deg u) bisection of u's neighbor list; False for unknown nodes."""
+        nbrs = self._adj.get(u, ())
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def nodes(self) -> list[int]:
         """Nodes in insertion order (deterministic for a fixed construction sequence)."""
         return list(self._adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        """Each edge once as (u, w) with u < w, in ascending order."""
+        return [(u, w) for u in sorted(self._adj) for w in self._adj[u] if w > u]
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of v in ascending id order."""
@@ -102,7 +102,7 @@ class ConflictGraph:
         return max((len(nbrs) for nbrs in self._adj.values()), default=0)
 
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj.values())) // 2
 
     def __len__(self) -> int:
         return len(self._adj)
@@ -110,7 +110,6 @@ class ConflictGraph:
     def copy(self) -> "ConflictGraph":
         g = ConflictGraph()
         g._adj = {v: list(nbrs) for v, nbrs in self._adj.items()}
-        g._edges = set(self._edges)
         return g
 
     def connected_components(self) -> list[list[int]]:

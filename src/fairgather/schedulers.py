@@ -17,7 +17,6 @@ frozen once built; the dynamic edge operations return new schedule values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import codec
 from .coloring import RoundLog, first_fit, is_proper, local_random_color, smallest_free_color
@@ -43,84 +42,33 @@ class Schedule:
 
 
 class PhasedSchedule(Schedule):
-    """Frozen replay of the phased greedy recoloring up to a horizon."""
+    """Frozen replay of the phased greedy recoloring; holiday t reads happy_sets[t - 1]."""
 
     algorithm = "phased"
 
-    def __init__(self, graph: ConflictGraph, horizon: int, happy_sets: list[frozenset[int]]):
+    def __init__(self, graph: ConflictGraph, happy_sets: list[frozenset[int]]):
         self.graph = graph
-        self.horizon = horizon
         self._happy_sets = happy_sets
 
-    def happy(self, v: int, t: int) -> bool:
+    @property
+    def horizon(self) -> int:
+        return len(self._happy_sets)
+
+    def _row(self, t: int) -> frozenset[int]:
         if not 1 <= t <= self.horizon:
             raise ValueError(f"holiday {t} outside replay horizon 1..{self.horizon}")
-        return v in self._happy_sets[t - 1]
-
-    def happy_set(self, t: int) -> set[int]:
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"holiday {t} outside replay horizon 1..{self.horizon}")
-        return set(self._happy_sets[t - 1])
-
-
-class PeriodicSchedule(Schedule):
-    """Node v is happy exactly when t = residue_v (mod modulus_v).
-
-    Nodes are indexed by modulus and residue, so happy_set(t) reads one
-    bucket per distinct modulus: O(#distinct moduli + |happy set|).
-    """
-
-    def __init__(self, graph: ConflictGraph, residues: dict[int, tuple[int, int]]):
-        self.graph = graph
-        self._residues = residues  # node -> (residue, modulus)
-        self._buckets: dict[int, dict[int, list[int]]] = {}
-        for v, (residue, modulus) in residues.items():
-            self._buckets.setdefault(modulus, {}).setdefault(residue, []).append(v)
+        return self._happy_sets[t - 1]
 
     def happy(self, v: int, t: int) -> bool:
-        residue, modulus = self._residues[v]
-        return t % modulus == residue
-
-    def period(self, v: int) -> int:
-        return self._residues[v][1]
+        return v in self._row(t)
 
     def happy_set(self, t: int) -> set[int]:
-        out: set[int] = set()
-        for modulus, by_residue in self._buckets.items():
-            bucket = by_residue.get(t % modulus)
-            if bucket:
-                out.update(bucket)
-        return out
-
-
-class EliasSchedule(PeriodicSchedule):
-    """Perfectly periodic schedule driven by omega codewords of the colors.
-
-    Node v is happy iff the low bits of t spell its color's codeword in
-    reverse, i.e. t = residue (mod 2**rho(color)). Prefix-freeness of the
-    code means at most one color can match any holiday, so happy sets are
-    single color classes and independence follows from properness.
-    """
-
-    algorithm = "elias"
-
-    def __init__(self, graph: ConflictGraph, coloring: dict[int, int]):
-        if not is_proper(graph, coloring):
-            raise ValueError("coloring must be proper and cover every node")
-        self.coloring = dict(coloring)
-        slot_of = {}
-        for c in set(self.coloring.values()):
-            code = codec.omega_encode(c)
-            slot_of[c] = (codec.code_residue(code), 1 << len(code))
-        super().__init__(graph, {v: slot_of[c] for v, c in self.coloring.items()})
-
-    def color(self, v: int) -> int:
-        return self.coloring[v]
+        return set(self._row(t))
 
 
 @dataclass(frozen=True)
 class Slot:
-    """Happy exactly when t = offset (mod 2**level)."""
+    """Happy exactly when t = offset (mod 2**level), with 0 <= offset < 2**level."""
 
     offset: int
     level: int
@@ -130,14 +78,59 @@ class Slot:
         return 1 << self.level
 
 
-class SlotSchedule(PeriodicSchedule):
-    """Degree-bound periodic schedule from per-node (offset, level) slots."""
+class PeriodicSchedule(Schedule):
+    """Node v is happy exactly when t = slots[v].offset (mod slots[v].period).
+
+    Nodes are indexed by period and offset, so happy_set(t) reads one
+    bucket per distinct period: O(#distinct periods + |happy set|).
+    """
 
     algorithm = "slots"
 
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
+        self.graph = graph
         self.slots = slots
-        super().__init__(graph, {v: (slot.offset, slot.period) for v, slot in slots.items()})
+        self._buckets: dict[int, dict[int, list[int]]] = {}
+        for v, slot in slots.items():
+            self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, []).append(v)
+
+    def happy(self, v: int, t: int) -> bool:
+        slot = self.slots[v]
+        return t % slot.period == slot.offset
+
+    def period(self, v: int) -> int:
+        return self.slots[v].period
+
+    def happy_set(self, t: int) -> set[int]:
+        out: set[int] = set()
+        for period, by_offset in self._buckets.items():
+            bucket = by_offset.get(t % period)
+            if bucket:
+                out.update(bucket)
+        return out
+
+
+class EliasSchedule(PeriodicSchedule):
+    """Perfectly periodic schedule driven by omega codewords of the colors.
+
+    Node v is happy iff the low bits of t spell its color's codeword in
+    reverse: its slot is Slot(code_residue(code), len(code)). Prefix-freeness
+    of the code means at most one color can match any holiday, so happy sets
+    are single color classes and independence follows from properness.
+    """
+
+    algorithm = "elias"
+
+    def __init__(self, graph: ConflictGraph, coloring: dict[int, int]):
+        # is_proper checks that every node is colored; equal sizes rule out extras.
+        if len(coloring) != len(graph) or not is_proper(graph, coloring):
+            raise ValueError("coloring must be proper and color exactly the graph's nodes")
+        self.coloring = dict(coloring)
+        slot_of = {}
+        for c in set(self.coloring.values()):
+            code = codec.omega_encode(c)
+            slot_of[c] = Slot(codec.code_residue(code), len(code))
+        super().__init__(graph, {v: slot_of[c] for v, c in self.coloring.items()})
 
 
 def phased_greedy(g: ConflictGraph, init: dict[int, int], horizon: int) -> PhasedSchedule:
@@ -169,7 +162,7 @@ def phased_greedy(g: ConflictGraph, init: dict[int, int], horizon: int) -> Phase
             if col[v] > i + len(nbrs) + 1:
                 raise AssertionError("greedy recolor escaped its pigeonhole window")
         happy_sets.append(frozenset(happy))
-    return PhasedSchedule(g.copy(), horizon, happy_sets)
+    return PhasedSchedule(g.copy(), happy_sets)
 
 
 def elias_schedule(g: ConflictGraph, coloring: dict[int, int]) -> EliasSchedule:
@@ -177,7 +170,7 @@ def elias_schedule(g: ConflictGraph, coloring: dict[int, int]) -> EliasSchedule:
     return EliasSchedule(g.copy(), coloring)
 
 
-def degree_slots_sequential(g: ConflictGraph) -> SlotSchedule:
+def degree_slots_sequential(g: ConflictGraph) -> PeriodicSchedule:
     """Assign slots greedily in decreasing degree order (ties: ascending id).
 
     Node v takes level j = ceil(log2(degree + 1)) and the smallest offset
@@ -193,10 +186,10 @@ def degree_slots_sequential(g: ConflictGraph) -> SlotSchedule:
         if x >= modulus:
             raise AssertionError(f"no free offset for node {v}; assignment order is broken")
         slots[v] = Slot(offset=x, level=j)
-    return SlotSchedule(g.copy(), slots)
+    return PeriodicSchedule(g.copy(), slots)
 
 
-def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[SlotSchedule, RoundLog]:
+def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicSchedule, RoundLog]:
     """Distributed slot assignment: one randomized coloring phase per level.
 
     Levels run from ceil(log2(max_degree + 1)) down to 0; in phase j the
@@ -209,7 +202,7 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[SlotSched
     slots: dict[int, Slot] = {}
     log = RoundLog()
     if len(g) == 0:
-        return SlotSchedule(g.copy(), slots), log
+        return PeriodicSchedule(g.copy(), slots), log
     levels: dict[int, list[int]] = {}
     for v in g.nodes():
         levels.setdefault(_ceil_log2(g.degree(v) + 1), []).append(v)
@@ -226,21 +219,21 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[SlotSched
         log.merge(phase_log)
         for v, c in phase_colors.items():
             slots[v] = Slot(offset=c - 1, level=j)
-    return SlotSchedule(g.copy(), slots), log
+    return PeriodicSchedule(g.copy(), slots), log
 
 
 def periodic_conflicts(s: PeriodicSchedule) -> list[tuple[int, int]]:
     """Edges whose endpoints host together on some holiday, in edge order.
 
-    Both endpoints host on some t iff r_u = r_v (mod gcd(m_u, m_v)) (Chinese
-    remainder theorem), and for the power-of-two moduli built here the gcd
-    is the smaller modulus. An empty list proves independence for every t.
+    Both endpoints host on some t iff their offsets agree modulo the gcd of
+    their periods (Chinese remainder theorem): the smaller power-of-two
+    period. An empty list proves independence for every t.
     """
     bad = []
     for u, v in s.graph.edges():
-        (ru, mu), (rv, mv) = s._residues[u], s._residues[v]
-        m = gcd(mu, mv)
-        if ru % m == rv % m:
+        a, b = s.slots[u], s.slots[v]
+        m = min(a.period, b.period)
+        if a.offset % m == b.offset % m:
             bad.append((u, v))
     return bad
 

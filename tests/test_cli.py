@@ -1,5 +1,6 @@
 import functools
 import os
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_identical_config_identical_bytes(tmp_path):
     argv = ["schedule", "--input", g, "--algorithm", "slots-dist", "--holidays", "12", "--seed", "9"]
     assert main(argv + ["--output", a]) == 0
     assert main(argv + ["--output", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
@@ -231,3 +232,18 @@ def test_dynamic_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["dynamic", "--input", g, "--events", events, "--holidays", "2", "--seed", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("event, message", [
+    ("2 - 1 0", "no such edge (0, 1)"),
+    ("2 + 1 1", "self-loop at node 1"),
+    ("2 + 2 0", "duplicate edge (0, 2)"),
+    ("2 + -1 2", "node ids must be non-negative, got -1"),
+])
+def test_dynamic_event_errors_report_line(tmp_path, capsys, event, message):
+    g = write(tmp_path, "path.txt", PATH3)
+    events = write(tmp_path, "e.txt", f"1 + 0 2\n1 - 0 1\n# then\n{event}\n")
+    code, out, err = run(capsys, ["dynamic", "--input", g, "--events", events, "--holidays", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == f"fairgather: line 4: {message}\n"

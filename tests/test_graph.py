@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +153,57 @@ def test_iteration_is_deterministic_for_same_construction(ops):
     assert a.nodes() == b.nodes()
     assert a.edges() == b.edges()
     assert all(a.neighbors(v) == b.neighbors(v) for v in a.nodes())
+
+
+def _assert_matches_model(g, nodes, edges):
+    assert g.nodes() == nodes
+    assert g.edges() == sorted(edges)
+    assert g.num_edges() == len(edges)
+    for u in range(-1, 10):
+        for v in range(-1, 10):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+    for v in nodes:
+        nbrs = sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
+        assert g.neighbors(v) == nbrs
+        assert g.degree(v) == len(nbrs)
+
+
+store_ops = st.lists(
+    st.tuples(st.sampled_from(["+", "-", "copy"]), st.integers(0, 7), st.integers(0, 7)),
+    max_size=60,
+)
+
+
+@given(store_ops)
+@settings(max_examples=150, deadline=None)
+def test_edge_store_matches_set_of_pairs_model(ops):
+    g = ConflictGraph()
+    nodes: list[int] = []
+    edges: set[tuple[int, int]] = set()
+    for op, u, v in ops:
+        key = (min(u, v), max(u, v))
+        if op == "copy":
+            c = g.copy()
+            if c.has_edge(u, v):
+                c.remove_edge(u, v)
+            elif u != v:
+                c.insert_edge(u, v)
+            c.insert_edge(8, 9)
+        elif op == "+":
+            if u == v or key in edges:
+                with pytest.raises(ValueError, match="self-loop" if u == v else "duplicate edge"):
+                    g.insert_edge(u, v)
+            else:
+                g.insert_edge(u, v)
+                nodes.extend(w for w in (u, v) if w not in nodes)
+                edges.add(key)
+        elif key in edges:
+            g.remove_edge(u, v)
+            edges.remove(key)
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"no such edge {key}")):
+                g.remove_edge(u, v)
+        _assert_matches_model(g, nodes, edges)
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ from fairgather.codec import omega_encode, rho
 from fairgather.coloring import greedy_color, is_proper, local_random_color
 from fairgather.graph import ConflictGraph, complete_graph, gnp_random_graph, path_graph, star_graph
 from fairgather.schedulers import (
+    PeriodicSchedule,
     Slot,
-    SlotSchedule,
     degree_slots_distributed,
     degree_slots_sequential,
     dynamic_insert,
@@ -101,6 +101,11 @@ def test_elias_color_one_even_holidays():
 def test_elias_rejects_improper_coloring():
     with pytest.raises(ValueError):
         elias_schedule(path_graph(2), {0: 2, 1: 2})
+
+
+def test_elias_rejects_coloring_of_unknown_nodes():
+    with pytest.raises(ValueError, match="exactly the graph's nodes"):
+        elias_schedule(path_graph(2), {0: 1, 1: 2, 99: 3})
 
 
 def test_elias_single_color_per_holiday():
@@ -210,7 +215,7 @@ def test_periodic_conflicts_match_joint_hosting(seed, n):
     for v in g.nodes():
         level = rng.randint(0, 3)
         slots[v] = Slot(offset=rng.randrange(1 << level), level=level)
-    s = SlotSchedule(g, slots)
+    s = PeriodicSchedule(g, slots)
     horizon = max(slot.period for slot in slots.values())  # lcm of powers of two
     joint = [(u, v) for u, v in g.edges()
              if any(s.happy(u, t) and s.happy(v, t) for t in range(1, horizon + 1))]

@@ -88,6 +88,13 @@ def test_report_rejects_unknown_nodes():
         report_from_happy_sets(g, {1: {5}}, (1, 1))
 
 
+def test_report_rejects_window_past_replay_horizon():
+    s = phased_greedy(path_graph(3), {0: 1, 1: 2, 2: 1}, 4)
+    assert s.horizon == 4
+    with pytest.raises(ValueError, match=r"holiday 5 outside replay horizon 1\.\.4"):
+        report(s.graph, s, (1, 5))
+
+
 def test_gap_bounds_phased_degree_plus_one_clean():
     g = gnp_random_graph(30, 0.15, seed=12)
     s = phased_greedy(g, greedy_color(g), 10 * (g.max_degree() + 1))
