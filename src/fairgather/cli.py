@@ -167,7 +167,8 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 
     def replay() -> Iterator[set[int]]:
         s = schedulers.elias_schedule(g, greedy_color(g))
-        for t in range(1, holidays + 1):
+        # Events dated after the last row print nothing but must still apply.
+        for t in sorted(events.keys() | range(1, holidays + 1)):
             for lineno, op, u, v in events.get(t, ()):
                 try:
                     if op == "+":
@@ -176,7 +177,8 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
                         s = schedulers.dynamic_remove(s, u, v, recolor_threshold=args.threshold)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from None
-            yield s.happy_set(t)
+            if t <= holidays:
+                yield s.happy_set(t)
 
     _emit(_schedule_csv(replay()), args.output)
     return 0

@@ -1,34 +1,31 @@
 """Maximum satisfaction: orient edges so as many nodes as possible get at
 least one incident edge pointed at them (at least one child home).
 
-The solver peels: while some unsatisfied node has exactly one unoriented
-edge left, that edge is forced (orienting it anywhere else abandons the
-node, and an exchange argument shows pointing it home never loses). When
-no such node remains, every unsatisfied node has two or more unoriented
-edges; satisfying one of them frees at most one new forced node, so the
-peel queue is drained again after every pick. The result is checked
-against a brute-force orientation search in the tests rather than argued
-here.
+Each edge satisfies only its head, so a connected component with k nodes
+can satisfy at most k of them, and at most k - 1 when it is a tree (its
+k - 1 edges have k - 1 heads). Both bounds are met by a spanning forest
+(Hakimi 1965): one breadth-first tree per component, rooted at its
+smallest node, with every tree edge pointed at the child. That satisfies
+every node but the root. If the component has a cycle, the first edge
+found outside the tree, (x, y), points at x, and the tree path from x back
+to the root is reversed: every node on it is then satisfied from below,
+the root included. All other edges point at their lower endpoint.
 """
 
 from __future__ import annotations
 
-import heapq
-import logging
 from dataclasses import dataclass
 
 from .graph import ConflictGraph
-
-logger = logging.getLogger(__name__)
 
 Orientation = dict[tuple[int, int], int]
 
 
 @dataclass
 class PeelStats:
-    """Operation counter (scan steps, orientations, queue traffic) and
-    the number of times the residual phase saw more than one forced node
-    at once, which the theory says should not happen."""
+    """Operation counter (adjacency steps and path flips) and a count of
+    suboptimal components, which is 0 by construction: the orientation
+    meets the per-component upper bound on every component."""
 
     ops: int = 0
     residual_anomalies: int = 0
@@ -41,82 +38,43 @@ def max_satisfaction(g: ConflictGraph) -> tuple[Orientation, int]:
 
 
 def max_satisfaction_with_stats(g: ConflictGraph) -> tuple[Orientation, int, PeelStats]:
-    edges = g.edges()
-    eid = {e: i for i, e in enumerate(edges)}
-    head: list[int | None] = [None] * len(edges)
-    # incidence sorted by neighbor id, so "first unoriented" = lowest neighbor
-    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in g.nodes()}
-    for (u, v), i in eid.items():
-        incident[u].append((v, i))
-        incident[v].append((u, i))
-    for lst in incident.values():
-        lst.sort()
-
-    undeg = {v: g.degree(v) for v in g.nodes()}
-    satisfied = {v: False for v in g.nodes()}
-    ptr = {v: 0 for v in g.nodes()}
-    stats = PeelStats()
-    pending = 0  # unsatisfied nodes with exactly one unoriented edge
-
-    def entering(v: int) -> bool:
-        return not satisfied[v] and undeg[v] == 1
-
-    def next_unoriented(v: int) -> tuple[int, int]:
-        lst = incident[v]
-        while head[lst[ptr[v]][1]] is not None:
-            ptr[v] += 1
-            stats.ops += 1
-        return lst[ptr[v]]
-
-    def orient_toward(v: int) -> None:
-        nonlocal pending
-        u, i = next_unoriented(v)
-        was_pending = entering(u), entering(v)
-        head[i] = v
-        undeg[u] -= 1
-        undeg[v] -= 1
-        satisfied[v] = True
-        stats.ops += 1
-        if was_pending[1]:
-            pending -= 1
-        if was_pending[0] != entering(u):
-            pending += 1 if entering(u) else -1
-        if entering(u):
-            heapq.heappush(heap, u)
-            stats.ops += 1
-
-    heap = [v for v in g.nodes() if entering(v)]
-    heapq.heapify(heap)
-    pending = len(heap)
-
-    def drain(residual: bool) -> None:
-        while heap:
-            v = heapq.heappop(heap)
-            stats.ops += 1
-            if satisfied[v] or undeg[v] != 1:
-                continue  # stale entry
-            if residual and pending > 1:
-                stats.residual_anomalies += 1
-            orient_toward(v)
-
-    drain(residual=False)
-    for v in sorted(g.nodes()):
-        stats.ops += 1
-        if satisfied[v] or undeg[v] == 0:
-            continue
-        orient_toward(v)
-        drain(residual=True)
-
-    # Leftover edges join two satisfied nodes; direction is a formality.
+    """Spanning-forest orientation (see the module docstring), its
+    satisfied count and operation counters; O(V + E)."""
     orientation: Orientation = {}
-    for (u, v), i in eid.items():
-        orientation[(u, v)] = head[i] if head[i] is not None else u
-    if stats.residual_anomalies:
-        logger.warning(
-            "residual peeling saw %d simultaneous forced nodes; worth a look",
-            stats.residual_anomalies,
-        )
-    return orientation, sum(satisfied.values()), stats
+    parent: dict[int, int] = {}
+    stats = PeelStats()
+    count = 0
+    for root in sorted(g.nodes()):
+        if root in parent:
+            continue
+        parent[root] = root
+        tree = [root]
+        cycle_at = None  # x of the first non-tree edge (x, y)
+        for v in tree:
+            for u in g.neighbors(v):
+                stats.ops += 1
+                edge = (v, u) if v < u else (u, v)
+                if u not in parent:
+                    parent[u] = v
+                    orientation[edge] = u
+                    tree.append(u)
+                elif edge not in orientation:
+                    if cycle_at is None:
+                        cycle_at = v
+                        orientation[edge] = v
+                    else:
+                        orientation[edge] = edge[0]
+        if cycle_at is None:
+            count += len(tree) - 1
+            continue
+        count += len(tree)
+        v = cycle_at
+        while v != root:
+            u = parent[v]
+            orientation[(u, v) if u < v else (v, u)] = u
+            stats.ops += 1
+            v = u
+    return orientation, count, stats
 
 
 def satisfied_nodes(g: ConflictGraph, orientation: Orientation) -> set[int]:

@@ -73,6 +73,10 @@ class Slot:
     offset: int
     level: int
 
+    def __post_init__(self) -> None:
+        if self.level < 0 or not 0 <= self.offset < 1 << self.level:
+            raise ValueError(f"slot needs level >= 0 and 0 <= offset < 2**level, got {self}")
+
     @property
     def period(self) -> int:
         return 1 << self.level

@@ -247,3 +247,18 @@ def test_dynamic_event_errors_report_line(tmp_path, capsys, event, message):
     assert code == 1
     assert out == ""
     assert err == f"fairgather: line 4: {message}\n"
+
+
+def test_dynamic_applies_events_after_last_holiday(tmp_path, capsys):
+    g = write(tmp_path, "path.txt", PATH3)
+    bad = write(tmp_path, "bad.txt", "1 + 0 2\n9 - 5 7\n")
+    code, out, err = run(capsys, ["dynamic", "--input", g, "--events", bad, "--holidays", "3"])
+    assert (code, out) == (1, "")
+    assert err == "fairgather: line 2: no such edge (5, 7)\n"
+
+    early = write(tmp_path, "early.txt", "1 + 0 2\n")
+    late = write(tmp_path, "late.txt", "1 + 0 2\n9 - 0 2\n")
+    _, expected, _ = run(capsys, ["dynamic", "--input", g, "--events", early, "--holidays", "3"])
+    code, out, _ = run(capsys, ["dynamic", "--input", g, "--events", late, "--holidays", "3"])
+    assert (code, out) == (0, expected)
+    assert len(out.splitlines()) == 4

@@ -91,6 +91,23 @@ def test_random_graphs_match_oracle(seed, n):
     assert count == brute_force_satisfaction(g)
 
 
+@given(st.integers(0, 10**6), st.integers(30, 300), st.floats(1.0, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_large_random_graphs_meet_component_bound(seed, n, c):
+    # Average degree 1..2 mixes isolated nodes, trees and cyclic components,
+    # on graphs far beyond the brute-force cap.
+    g = gnp_random_graph(n, c / n, seed=seed)
+    orientation, count = max_satisfaction(g)
+    bound = 0
+    for comp in g.connected_components():
+        edges = sum(g.degree(v) for v in comp) // 2
+        bound += len(comp) if edges >= len(comp) else len(comp) - 1
+    assert count == bound
+    assert set(orientation) == set(g.edges())
+    assert all(head in edge for edge, head in orientation.items())
+    assert len(satisfied_nodes(g, orientation)) == count
+
+
 def test_isolated_nodes_never_satisfied():
     g = ConflictGraph()
     g.add_node(0)

@@ -222,6 +222,14 @@ def test_periodic_conflicts_match_joint_hosting(seed, n):
     assert periodic_conflicts(s) == joint
 
 
+@pytest.mark.parametrize("offset,level", [(5, 1), (2, 1), (-1, 0), (0, -1)])
+def test_slot_rejects_offset_outside_period(offset, level):
+    # An offset outside [0, 2**level) never hosts, but periodic_conflicts
+    # reduces offsets modulo the smaller period and would see a conflict.
+    with pytest.raises(ValueError):
+        PeriodicSchedule(path_graph(2), {0: Slot(offset, level), 1: Slot(1, 1)})
+
+
 def test_slot_no_joint_happiness_over_joint_period():
     g = gnp_random_graph(16, 0.25, seed=6)
     s = degree_slots_sequential(g)
