@@ -10,6 +10,7 @@ defaults to the FAIRGATHER_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Iterable, Iterator
@@ -74,11 +75,18 @@ def _parse_schedule_csv(text: str) -> dict[int, set[int]]:
     return happy_sets
 
 
+def _star(args: argparse.Namespace) -> graph.ConflictGraph:
+    # --nodes counts the center too; star_graph takes the leaf count.
+    if args.nodes < 1:
+        raise ValueError("star needs at least one node")
+    return graph.star_graph(args.nodes - 1)
+
+
 _GRAPHS = {
     "path": lambda args: graph.path_graph(args.nodes),
     "cycle": lambda args: graph.cycle_graph(args.nodes),
     "clique": lambda args: graph.complete_graph(args.nodes),
-    "star": lambda args: graph.star_graph(args.nodes - 1),
+    "star": _star,
     "gnp": lambda args: graph.gnp_random_graph(args.nodes, args.p, args.seed),
 }
 
@@ -161,6 +169,9 @@ def _parse_events(text: str) -> dict[int, list[tuple[int, str, int, int]]]:
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
     holidays = _holidays(args)
+    # Checked here too, so an event file without removals cannot hide it.
+    if math.isnan(args.threshold):
+        raise ValueError("--threshold must be a number, got nan")
     g = _load_graph(args.input)
     with open(args.events, encoding="utf-8") as fh:
         events = _parse_events(fh.read())

@@ -16,12 +16,16 @@ class ConflictGraph:
     """Undirected simple graph with sorted adjacency and dynamic edge updates.
 
     The sorted neighbor lists are the only edge store: edge lookups bisect
-    them, and each edge appears once in each endpoint's list.
+    them, and each edge appears once in each endpoint's list. A graph made
+    by _share() shares the lists copy-on-write; copy() shares nothing.
     Single-writer: mutate from one task only; reads may be shared freely.
     """
 
     def __init__(self) -> None:
         self._adj: dict[int, list[int]] = {}
+        # None: every neighbor list belongs to this graph alone. After
+        # _share(), the nodes whose list this graph has copied since.
+        self._owned: set[int] | None = None
 
     @classmethod
     def from_edge_list(cls, text: str) -> "ConflictGraph":
@@ -65,14 +69,26 @@ class ConflictGraph:
             raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
         self.add_node(u)
         self.add_node(v)
+        if self._owned is not None:
+            self._own(u)
+            self._own(v)
         insort(self._adj[u], v)
         insort(self._adj[v], u)
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
             raise ValueError(f"no such edge {(min(u, v), max(u, v))}")
+        if self._owned is not None:
+            self._own(u)
+            self._own(v)
         self._adj[u].remove(v)
         self._adj[v].remove(u)
+
+    def _own(self, v: int) -> None:
+        """Copy v's neighbor list before its first write since _share()."""
+        if v not in self._owned:
+            self._adj[v] = list(self._adj[v])
+            self._owned.add(v)
 
     def has_node(self, v: int) -> bool:
         return v in self._adj
@@ -108,8 +124,21 @@ class ConflictGraph:
         return len(self._adj)
 
     def copy(self) -> "ConflictGraph":
+        """Independent copy of every neighbor list: O(n + m)."""
         g = ConflictGraph()
         g._adj = {v: list(nbrs) for v, nbrs in self._adj.items()}
+        return g
+
+    def _share(self) -> "ConflictGraph":
+        """Copy that shares every neighbor list with self: one O(n) dict copy.
+
+        Afterwards each side copies a shared list before its first write to
+        it, so edge updates on either graph never show in the other.
+        """
+        g = ConflictGraph()
+        g._adj = dict(self._adj)
+        g._owned = set()
+        self._owned = set()
         return g
 
     def connected_components(self) -> list[list[int]]:

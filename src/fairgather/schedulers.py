@@ -16,6 +16,8 @@ frozen once built; the dynamic edge operations return new schedule values.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 from . import codec
@@ -98,6 +100,35 @@ class PeriodicSchedule(Schedule):
         for v, slot in slots.items():
             self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, []).append(v)
 
+    def _with(self, graph: ConflictGraph, changed: dict[int, Slot]) -> PeriodicSchedule:
+        """A schedule on graph whose slots are self's updated by changed.
+
+        self is left as it was: the new schedule shares every bucket no
+        changed node leaves or joins, and copies only the touched
+        per-period dicts and buckets. Emptied buckets stay, as happy_set
+        skips them. Subclass fields are copied shallowly.
+        """
+        new = copy.copy(self)
+        new.graph = graph
+        new.slots = slots = dict(self.slots)
+        buckets = new._buckets = dict(self._buckets)
+
+        def bucket(slot: Slot) -> list[int]:
+            """slot's bucket in new, copied so that self's stays as it was."""
+            by_offset = buckets[slot.period] = dict(buckets.get(slot.period, ()))
+            members = by_offset[slot.offset] = list(by_offset.get(slot.offset, ()))
+            return members
+
+        for v, slot in changed.items():
+            old = slots.get(v)
+            if old == slot:
+                continue
+            if old is not None:
+                bucket(old).remove(v)
+            bucket(slot).append(v)
+            slots[v] = slot
+        return new
+
     def happy(self, v: int, t: int) -> bool:
         slot = self.slots[v]
         return t % slot.period == slot.offset
@@ -130,11 +161,31 @@ class EliasSchedule(PeriodicSchedule):
         if len(coloring) != len(graph) or not is_proper(graph, coloring):
             raise ValueError("coloring must be proper and color exactly the graph's nodes")
         self.coloring = dict(coloring)
-        slot_of = {}
-        for c in set(self.coloring.values()):
-            code = codec.omega_encode(c)
-            slot_of[c] = Slot(codec.code_residue(code), len(code))
+        slot_of = {c: _omega_slot(c) for c in set(self.coloring.values())}
         super().__init__(graph, {v: slot_of[c] for v, c in self.coloring.items()})
+
+    def _recolored(
+        self, graph: ConflictGraph, coloring: dict[int, int], touched: tuple[int, ...]
+    ) -> EliasSchedule:
+        """The schedule for graph and coloring, which it takes over.
+
+        They may differ from self's only at the touched nodes and the edges
+        at them. Given that self is proper, checking the touched nodes'
+        edges is equivalent to the constructor's full check, and raises the
+        same error.
+        """
+        if len(coloring) != len(graph) or any(
+            coloring[w] == coloring[x] for w in touched for x in graph.neighbors(w)
+        ):
+            raise ValueError("coloring must be proper and color exactly the graph's nodes")
+        new = self._with(graph, {w: _omega_slot(coloring[w]) for w in touched})
+        new.coloring = coloring
+        return new
+
+
+def _omega_slot(c: int) -> Slot:
+    code = codec.omega_encode(c)
+    return Slot(codec.code_residue(code), len(code))
 
 
 def phased_greedy(g: ConflictGraph, init: dict[int, int], horizon: int) -> PhasedSchedule:
@@ -249,9 +300,10 @@ def dynamic_insert(s: EliasSchedule, u: int, v: int) -> EliasSchedule:
     which never clashes. If two previously colored endpoints collide, the
     higher id moves to the smallest color its neighbors leave free; its
     palette grew along with its degree, so the new color is still at most
-    degree + 1.
+    degree + 1. s is left unchanged; the new schedule shares its untouched
+    state, so an event costs O(deg) Python steps plus C-speed dict copies.
     """
-    g = s.graph.copy()
+    g = s.graph._share()
     g.insert_edge(u, v)
     coloring = dict(s.coloring)
     for w in sorted({u, v}):
@@ -260,7 +312,7 @@ def dynamic_insert(s: EliasSchedule, u: int, v: int) -> EliasSchedule:
     if coloring[u] == coloring[v]:
         loser = max(u, v)
         coloring[loser] = smallest_free_color(g, coloring, loser)
-    return EliasSchedule(g, coloring)
+    return s._recolored(g, coloring, (u, v))
 
 
 def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 2.0) -> EliasSchedule:
@@ -270,12 +322,16 @@ def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 
     recolor_threshold * (degree + 1), i.e. when its hosting rate has become
     disproportionate to its shrunken neighborhood. The default factor 2 is
     a tunable slack: recoloring costs the neighbors nothing but churns the
-    node's own period, so mild oversize is tolerated.
+    node's own period, so mild oversize is tolerated. A NaN threshold is
+    rejected, since no color would ever compare greater than it. s is left
+    unchanged, at the cost stated in dynamic_insert.
     """
-    g = s.graph.copy()
+    if math.isnan(recolor_threshold):
+        raise ValueError("recolor threshold must be a number, got nan")
+    g = s.graph._share()
     g.remove_edge(u, v)
     coloring = dict(s.coloring)
     for w in sorted((u, v)):
         if coloring[w] > recolor_threshold * (g.degree(w) + 1):
             coloring[w] = smallest_free_color(g, coloring, w)
-    return EliasSchedule(g, coloring)
+    return s._recolored(g, coloring, (u, v))

@@ -201,11 +201,11 @@ def _connected_graphs_up_to_six_edges():
 
 
 def test_criterion_08_satisfaction():
-    crit = Criterion(8, "peeling = brute force, alternation gap <= 1", budget_s=60.0)
+    crit = Criterion(8, "forest orientation = brute force, alternation gap <= 1", budget_s=60.0)
     count = 0
     for g in _connected_graphs_up_to_six_edges():
-        _, peel = max_satisfaction(g)
-        assert peel == brute_force_satisfaction(g), g.edges()
+        _, satisfied = max_satisfaction(g)
+        assert satisfied == brute_force_satisfaction(g), g.edges()
         count += 1
     assert count > 20_000  # the corpus really was exhaustive
 
@@ -216,8 +216,8 @@ def test_criterion_08_satisfaction():
         if g.num_edges() <= 20:
             randoms.append(g)
     for g in randoms:
-        _, peel = max_satisfaction(g)
-        assert peel == brute_force_satisfaction(g), g.edges()
+        _, satisfied = max_satisfaction(g)
+        assert satisfied == brute_force_satisfaction(g), g.edges()
         for v in g.nodes():
             if g.degree(v) == 0:
                 continue

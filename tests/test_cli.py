@@ -100,6 +100,24 @@ def test_gen_kinds(tmp_path, capsys):
         assert out.startswith(f"# kind={kind}")
 
 
+@pytest.mark.parametrize("kind", ["path", "clique", "star"])
+def test_gen_without_nodes_names_node_count(capsys, kind):
+    code, out, err = run(capsys, ["gen", "--kind", kind, "--nodes", "0"])
+    assert (code, out) == (1, "")
+    assert err == f"fairgather: {kind} needs at least one node\n"
+
+
+@pytest.mark.parametrize("event", ["2 - 0 1\n", "2 + 0 2\n"])
+def test_dynamic_rejects_nan_threshold(tmp_path, capsys, event):
+    # The inserts-only file never reaches dynamic_remove's own check.
+    g = write(tmp_path, "g.txt", "0 1\n")
+    events = write(tmp_path, "e.txt", event)
+    code, out, err = run(capsys, ["dynamic", "--input", g, "--events", events,
+                                  "--holidays", "3", "--threshold", "nan"])
+    assert (code, out) == (1, "")
+    assert err == "fairgather: --threshold must be a number, got nan\n"
+
+
 def test_dynamic_events(tmp_path, capsys):
     g = write(tmp_path, "g.txt", "node 0\nnode 1\n")
     events = write(tmp_path, "e.txt", "# connect then disconnect\n2 + 0 1\n5 - 0 1\n")

@@ -169,7 +169,7 @@ def _assert_matches_model(g, nodes, edges):
 
 
 store_ops = st.lists(
-    st.tuples(st.sampled_from(["+", "-", "copy"]), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(st.sampled_from(["+", "-", "copy", "share"]), st.integers(0, 7), st.integers(0, 7)),
     max_size=60,
 )
 
@@ -180,6 +180,9 @@ def test_edge_store_matches_set_of_pairs_model(ops):
     g = ConflictGraph()
     nodes: list[int] = []
     edges: set[tuple[int, int]] = set()
+    # Graphs left behind by "share", each with its own model; later writes
+    # to g must not reach them.
+    left: list[tuple[ConflictGraph, list[int], set[tuple[int, int]]]] = []
     for op, u, v in ops:
         key = (min(u, v), max(u, v))
         if op == "copy":
@@ -189,6 +192,19 @@ def test_edge_store_matches_set_of_pairs_model(ops):
             elif u != v:
                 c.insert_edge(u, v)
             c.insert_edge(8, 9)
+        elif op == "share":
+            # Continue on the sharing copy and write to the old graph, which
+            # must not reach the copy either.
+            old, old_nodes, old_edges = g, list(nodes), set(edges)
+            g = old._share()
+            if key in old_edges:
+                old.remove_edge(u, v)
+                old_edges.remove(key)
+            elif u != v:
+                old.insert_edge(u, v)
+                old_edges.add(key)
+                old_nodes.extend(w for w in (u, v) if w not in old_nodes)
+            left.append((old, old_nodes, old_edges))
         elif op == "+":
             if u == v or key in edges:
                 with pytest.raises(ValueError, match="self-loop" if u == v else "duplicate edge"):
@@ -204,6 +220,8 @@ def test_edge_store_matches_set_of_pairs_model(ops):
             with pytest.raises(ValueError, match=re.escape(f"no such edge {key}")):
                 g.remove_edge(u, v)
         _assert_matches_model(g, nodes, edges)
+        for old, old_nodes, old_edges in left:
+            _assert_matches_model(old, old_nodes, old_edges)
 
 
 @pytest.mark.parametrize(

@@ -61,9 +61,9 @@ def test_orientation_covers_every_edge():
     assert len(satisfied_nodes(g, orientation)) == count
 
 
-def test_relabeled_cycle_needs_interleaved_peeling():
-    # a 5-cycle whose ascending-id sweep starves node 9 unless forced
-    # nodes are re-peeled after every residual pick
+def test_relabeled_cycle_satisfies_root_by_path_flip():
+    # a 5-cycle whose BFS tree from node 7 leaves 8-11 as the non-tree
+    # edge: node 7 is satisfied only by reversing the tree path back to it
     g = build(0, [])
     for u, v in [(7, 9), (7, 10), (8, 9), (8, 11), (10, 11)]:
         g.insert_edge(u, v)

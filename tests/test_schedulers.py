@@ -1,11 +1,15 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairgather.codec import omega_encode, rho
-from fairgather.coloring import greedy_color, is_proper, local_random_color
+from fairgather.coloring import greedy_color, is_proper, local_random_color, smallest_free_color
 from fairgather.graph import ConflictGraph, complete_graph, gnp_random_graph, path_graph, star_graph
 from fairgather.schedulers import (
+    EliasSchedule,
     PeriodicSchedule,
     Slot,
     degree_slots_distributed,
@@ -300,6 +304,122 @@ def test_dynamic_remove_missing_edge_rejected():
     s = elias_schedule(path_graph(2), {0: 1, 1: 2})
     with pytest.raises(ValueError):
         dynamic_remove(s, 0, 7)
+
+
+def test_dynamic_remove_rejects_nan_threshold():
+    s = elias_schedule(path_graph(2), {0: 1, 1: 2})
+    with pytest.raises(ValueError, match="nan"):
+        dynamic_remove(s, 0, 1, recolor_threshold=float("nan"))
+    assert s.graph.has_edge(0, 1)
+
+
+@pytest.mark.parametrize("touched", [(0, 2), (2, 0)])
+def test_derived_schedule_checks_every_touched_node(touched):
+    s = elias_schedule(path_graph(3), {0: 1, 1: 2, 2: 1})
+    with pytest.raises(ValueError, match="coloring must be proper"):
+        s._recolored(s.graph._share(), {0: 1, 1: 2, 2: 2}, touched)
+    with pytest.raises(ValueError, match="coloring must be proper"):
+        s._recolored(s.graph._share(), {0: 1, 1: 2}, touched[:1])
+
+
+def test_remove_matches_reference_on_every_small_path_coloring():
+    # Both endpoints may recolor, and the second may join a bucket or a
+    # period the first has just emptied: with colors 2, 3, 1 and threshold
+    # 1, node 0 leaves color 2 for 1 and node 1 leaves color 3 for 2.
+    for colors in itertools.product(range(1, 9), repeat=3):
+        if colors[0] == colors[1] or colors[1] == colors[2]:
+            continue
+        s = elias_schedule(path_graph(3), dict(enumerate(colors)))
+        before = _reads(s)
+        for u, v in [(0, 1), (1, 2)]:
+            for threshold in (1.0, 2.0):
+                expected = _reads(_reference_remove(s, u, v, threshold))
+                assert _reads(dynamic_remove(s, u, v, threshold)) == expected
+        assert _reads(s) == before
+
+
+# Reference: the copying updates that rebuild the graph and the schedule on
+# every event. The persistent updates must agree with them exactly.
+
+
+def _reference_insert(s, u, v):
+    g = s.graph.copy()
+    g.insert_edge(u, v)
+    coloring = dict(s.coloring)
+    for w in sorted({u, v}):
+        if w not in coloring:
+            coloring[w] = smallest_free_color(g, coloring, w)
+    if coloring[u] == coloring[v]:
+        loser = max(u, v)
+        coloring[loser] = smallest_free_color(g, coloring, loser)
+    return EliasSchedule(g, coloring)
+
+
+def _reference_remove(s, u, v, recolor_threshold=2.0):
+    g = s.graph.copy()
+    g.remove_edge(u, v)
+    coloring = dict(s.coloring)
+    for w in sorted((u, v)):
+        if coloring[w] > recolor_threshold * (g.degree(w) + 1):
+            coloring[w] = smallest_free_color(g, coloring, w)
+    return EliasSchedule(g, coloring)
+
+
+def _reads(s):
+    """Everything a caller can read from a schedule, over two longest periods."""
+    horizon = 2 * max(s.slots[v].period for v in s.graph.nodes())
+    return (dict(s.coloring), dict(s.slots), s.graph.nodes(), s.graph.edges(),
+            [s.happy_set(t) for t in range(1, horizon + 1)])
+
+
+def _toggle(g, a, b):
+    if g.has_edge(a, b):
+        g.remove_edge(a, b)
+    else:
+        g.insert_edge(a, b)
+
+
+event_chains = st.lists(
+    st.tuples(st.sampled_from(["toggle", "toggle", "toggle", "+", "-"]),
+              st.integers(0, 10), st.integers(0, 10), st.sampled_from([1.0, 2.0])),
+    min_size=1, max_size=25,
+)
+
+
+@given(st.integers(0, 99), event_chains)
+@settings(max_examples=120, deadline=None)
+def test_persistent_updates_match_copying_reference(seed, events):
+    # Graph nodes are 0..7, so ids 8..10 are new nodes, often both endpoints
+    # of one insert; "+" and "-" also hit duplicate edges, absent edges,
+    # absent nodes and self-loops.
+    g = gnp_random_graph(8, 0.35, seed=seed)
+    s = ref = elias_schedule(g, greedy_color(g))
+    versions = [(s, _reads(s))]
+    for op, u, v, threshold in events:
+        if op == "toggle":
+            op = "-" if s.graph.has_edge(u, v) else "+"
+        try:
+            ref = _reference_insert(ref, u, v) if op == "+" else _reference_remove(ref, u, v, threshold)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                dynamic_insert(s, u, v) if op == "+" else dynamic_remove(s, u, v, threshold)
+        else:
+            old = s
+            s = dynamic_insert(s, u, v) if op == "+" else dynamic_remove(s, u, v, threshold)
+            assert _reads(s) == _reads(ref)
+            assert is_proper(s.graph, s.coloring) and periodic_conflicts(s) == []
+            # Writes to either version's graph stay out of the other one.
+            pairs = [(u, v), (min(old.graph.nodes()), max(old.graph.nodes()))]
+            for a, b in pairs:
+                if a != b and old.graph.has_node(a) and old.graph.has_node(b):
+                    for mine, theirs in ((old.graph, s.graph), (s.graph, old.graph)):
+                        before = theirs.edges()
+                        _toggle(mine, a, b)
+                        assert theirs.edges() == before
+                        _toggle(mine, a, b)
+            versions.append((s, _reads(s)))
+        for version, reads in versions:
+            assert _reads(version) == reads
 
 
 @given(st.integers(0, 10**6))
