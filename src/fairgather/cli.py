@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from . import analysis, codec, graph, satisfaction, schedulers, verify
 from .coloring import greedy_color, local_random_color
@@ -46,7 +46,7 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _schedule_csv(happy_sets: Iterable[set[int]]) -> str:
+def _schedule_csv(happy_sets: Iterable[AbstractSet[int]]) -> str:
     """One row per happy set, holidays numbered from 1."""
     lines = ["holiday,happy"]
     for t, happy in enumerate(happy_sets, start=1):
@@ -54,10 +54,10 @@ def _schedule_csv(happy_sets: Iterable[set[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_schedule_csv(text: str) -> dict[int, set[int]]:
-    rows = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
-            if ln.strip() and not ln.startswith("#")]
-    if not rows or rows[0][1].strip() != "holiday,happy":
+def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, set[int]]:
+    """Holiday -> happy set; rows naming a node outside nodes are rejected."""
+    rows = list(graph.data_lines(text))
+    if not rows or rows[0][1] != "holiday,happy":
         raise ValueError("schedule CSV must start with header 'holiday,happy'")
     happy_sets: dict[int, set[int]] = {}
     for lineno, ln in rows[1:]:
@@ -66,11 +66,14 @@ def _parse_schedule_csv(text: str) -> dict[int, set[int]]:
             t = int(t_str)
             happy = {int(tok) for tok in ids.split(";") if tok}
         except ValueError:
-            raise ValueError(f"line {lineno}: malformed schedule row {ln.strip()!r}") from None
+            raise ValueError(f"line {lineno}: malformed schedule row {ln!r}") from None
         if t < 1:
             raise ValueError(f"line {lineno}: holidays are numbered from 1")
         if t in happy_sets:
             raise ValueError(f"line {lineno}: duplicate holiday {t} in schedule CSV")
+        unknown = sorted(happy - nodes)
+        if unknown:
+            raise ValueError(f"line {lineno}: holiday {t} lists unknown nodes {unknown[:3]}")
         happy_sets[t] = happy
     return happy_sets
 
@@ -150,10 +153,7 @@ def _cmd_satisfy(args: argparse.Namespace) -> int:
 def _parse_events(text: str) -> dict[int, list[tuple[int, str, int, int]]]:
     """Holiday -> its events as (line number, op, u, v), in file order."""
     events: dict[int, list[tuple[int, str, int, int]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in graph.data_lines(text):
         parts = line.split()
         if len(parts) != 4 or parts[1] not in {"+", "-"}:
             raise ValueError(f"line {lineno}: expected 't + u v' or 't - u v'")
@@ -198,7 +198,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     with open(args.schedule_path, encoding="utf-8") as fh:
-        happy_sets = _parse_schedule_csv(fh.read())
+        happy_sets = _parse_schedule_csv(fh.read(), set(g.nodes()))
     rep = verify.report_from_happy_sets(g, happy_sets, (1, args.window))
     # Rows past the window feed no statistics, but a conflict in any row fails.
     beyond = {t: hs for t, hs in happy_sets.items() if t > args.window}

@@ -2,30 +2,30 @@
 
 Nodes are non-negative integer ids; edges are unordered pairs of distinct
 nodes (in-law conflicts). The graph is simple: no self-loops, no duplicate
-edges. Neighbor lists are kept sorted by node id so that every downstream
+edges. Neighbors are kept as sorted tuples so that every downstream
 algorithm iterates deterministically.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from collections import defaultdict
+from typing import Iterable, Iterator
 
 
 class ConflictGraph:
     """Undirected simple graph with sorted adjacency and dynamic edge updates.
 
-    The sorted neighbor lists are the only edge store: edge lookups bisect
-    them, and each edge appears once in each endpoint's list. A graph made
-    by _share() shares the lists copy-on-write; copy() shares nothing.
+    The sorted neighbor tuples are the only edge store: edge lookups bisect
+    them, and each edge appears once in each endpoint's tuple. An edge
+    update replaces the two endpoint tuples and never changes one in place,
+    so copy() shares every tuple and costs one O(n) dict copy.
     Single-writer: mutate from one task only; reads may be shared freely.
     """
 
     def __init__(self) -> None:
-        self._adj: dict[int, list[int]] = {}
-        # None: every neighbor list belongs to this graph alone. After
-        # _share(), the nodes whose list this graph has copied since.
-        self._owned: set[int] | None = None
+        self._adj: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_edge_list(cls, text: str) -> "ConflictGraph":
@@ -36,65 +36,63 @@ class ConflictGraph:
         ValueError with the offending line number on malformed input,
         self-loops, or duplicate edges.
         """
-        g = cls()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        # One set per node, frozen once: a tuple rebuilt per edge would cost O(deg).
+        adj: defaultdict[int, set[int]] = defaultdict(set)
+        for lineno, line in data_lines(text):
             parts = line.split()
             try:
                 if parts[0] == "node":
                     if len(parts) != 2:
                         raise ValueError("expected 'node u'")
-                    g.add_node(_parse_node(parts[1]))
+                    adj.setdefault(_parse_node(parts[1]), set())
                 elif len(parts) == 2:
-                    g.insert_edge(_parse_node(parts[0]), _parse_node(parts[1]))
+                    u, v = _parse_node(parts[0]), _parse_node(parts[1])
+                    _check_new_edge(u, v, v in adj[u])
+                    adj[u].add(v)
+                    adj[v].add(u)
                 else:
                     raise ValueError("expected 'u v' or 'node u'")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+        return cls._from_adjacency(adj)
+
+    @classmethod
+    def _from_adjacency(cls, adj: dict[int, Iterable[int]]) -> "ConflictGraph":
+        """The graph whose neighbors adj lists (symmetric, no repeats), emptying adj as it goes."""
+        g = cls()
+        for v in list(adj):
+            g._adj[v] = tuple(sorted(adj.pop(v)))
         return g
 
     def add_node(self, v: int) -> None:
         if v < 0:
             raise ValueError(f"node ids must be non-negative, got {v}")
         if v not in self._adj:
-            self._adj[v] = []
+            self._adj[v] = ()
 
     def insert_edge(self, u: int, v: int) -> None:
         """Add edge (u, v), creating missing nodes. Rejects self-loops and duplicates."""
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        if self.has_edge(u, v):
-            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+        _check_new_edge(u, v, self.has_edge(u, v))
         self.add_node(u)
         self.add_node(v)
-        if self._owned is not None:
-            self._own(u)
-            self._own(v)
-        insort(self._adj[u], v)
-        insort(self._adj[v], u)
+        for a, b in ((u, v), (v, u)):
+            nbrs = self._adj[a]
+            i = bisect_left(nbrs, b)
+            self._adj[a] = nbrs[:i] + (b,) + nbrs[i:]
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
             raise ValueError(f"no such edge {(min(u, v), max(u, v))}")
-        if self._owned is not None:
-            self._own(u)
-            self._own(v)
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
-
-    def _own(self, v: int) -> None:
-        """Copy v's neighbor list before its first write since _share()."""
-        if v not in self._owned:
-            self._adj[v] = list(self._adj[v])
-            self._owned.add(v)
+        for a, b in ((u, v), (v, u)):
+            nbrs = self._adj[a]
+            i = bisect_left(nbrs, b)
+            self._adj[a] = nbrs[:i] + nbrs[i + 1:]
 
     def has_node(self, v: int) -> bool:
         return v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        """O(log deg u) bisection of u's neighbor list; False for unknown nodes."""
+        """O(log deg u) bisection of u's neighbors; False for unknown nodes."""
         nbrs = self._adj.get(u, ())
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
@@ -107,9 +105,9 @@ class ConflictGraph:
         """Each edge once as (u, w) with u < w, in ascending order."""
         return [(u, w) for u in sorted(self._adj) for w in self._adj[u] if w > u]
 
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors of v in ascending id order."""
-        return list(self._adj[v])
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbors of v in ascending id order: the stored tuple, not a copy."""
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -124,21 +122,13 @@ class ConflictGraph:
         return len(self._adj)
 
     def copy(self) -> "ConflictGraph":
-        """Independent copy of every neighbor list: O(n + m)."""
-        g = ConflictGraph()
-        g._adj = {v: list(nbrs) for v, nbrs in self._adj.items()}
-        return g
+        """A graph with the same nodes and edges: one O(n) dict copy.
 
-    def _share(self) -> "ConflictGraph":
-        """Copy that shares every neighbor list with self: one O(n) dict copy.
-
-        Afterwards each side copies a shared list before its first write to
-        it, so edge updates on either graph never show in the other.
+        The two graphs share every neighbor tuple; an edge update replaces
+        tuples instead of changing them, so it never shows in the other graph.
         """
         g = ConflictGraph()
         g._adj = dict(self._adj)
-        g._owned = set()
-        self._owned = set()
         return g
 
     def connected_components(self) -> list[list[int]]:
@@ -165,6 +155,22 @@ class ConflictGraph:
         lines = [f"node {v}" for v in sorted(self._adj) if not self._adj[v]]
         lines.extend(f"{u} {v}" for u, v in self.edges())
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for every line that is neither blank nor a "#" comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _check_new_edge(u: int, v: int, present: bool) -> None:
+    """Reject (u, v) as a self-loop or, if present, as a duplicate."""
+    if u == v:
+        raise ValueError(f"self-loop at node {u}")
+    if present:
+        raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
 
 
 def _parse_node(token: str) -> int:
@@ -198,23 +204,15 @@ def cycle_graph(n: int) -> ConflictGraph:
 def complete_graph(n: int) -> ConflictGraph:
     if n < 1:
         raise ValueError("clique needs at least one node")
-    g = ConflictGraph()
-    g.add_node(0)
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.insert_edge(u, v)
-    return g
+    return ConflictGraph._from_adjacency({u: [v for v in range(n) if v != u] for u in range(n)})
 
 
 def star_graph(leaves: int) -> ConflictGraph:
     """Star with center 0 and the given number of leaves 1..leaves."""
     if leaves < 0:
         raise ValueError("leaf count must be non-negative")
-    g = ConflictGraph()
-    g.add_node(0)
-    for v in range(1, leaves + 1):
-        g.insert_edge(0, v)
-    return g
+    leaf_ids = range(1, leaves + 1)
+    return ConflictGraph._from_adjacency({0: leaf_ids} | {v: (0,) for v in leaf_ids})
 
 
 def gnp_random_graph(n: int, p: float, seed: int = 0) -> ConflictGraph:
@@ -224,11 +222,10 @@ def gnp_random_graph(n: int, p: float, seed: int = 0) -> ConflictGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
-    g = ConflictGraph()
-    for v in range(n):
-        g.add_node(v)
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                g.insert_edge(u, v)
-    return g
+                adj[u].append(v)
+                adj[v].append(u)
+    return ConflictGraph._from_adjacency(adj)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from typing import AbstractSet, Protocol
 
 from . import codec
 from .coloring import RoundLog, first_fit, is_proper, local_random_color, smallest_free_color
@@ -30,20 +31,18 @@ def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-class Schedule:
-    """Common interface; subclasses answer happy(v, t) and happy_set(t)."""
+class Schedule(Protocol):
+    """What every schedule answers on its graph: happy(v, t) and happy_set(t)."""
 
     algorithm: str
     graph: ConflictGraph
 
-    def happy(self, v: int, t: int) -> bool:
-        raise NotImplementedError
+    def happy(self, v: int, t: int) -> bool: ...
 
-    def happy_set(self, t: int) -> set[int]:
-        raise NotImplementedError
+    def happy_set(self, t: int) -> AbstractSet[int]: ...
 
 
-class PhasedSchedule(Schedule):
+class PhasedSchedule:
     """Frozen replay of the phased greedy recoloring; holiday t reads happy_sets[t - 1]."""
 
     algorithm = "phased"
@@ -64,8 +63,9 @@ class PhasedSchedule(Schedule):
     def happy(self, v: int, t: int) -> bool:
         return v in self._row(t)
 
-    def happy_set(self, t: int) -> set[int]:
-        return set(self._row(t))
+    def happy_set(self, t: int) -> frozenset[int]:
+        """The stored set itself; it is frozen, so callers cannot alter the replay."""
+        return self._row(t)
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Slot:
         return 1 << self.level
 
 
-class PeriodicSchedule(Schedule):
+class PeriodicSchedule:
     """Node v is happy exactly when t = slots[v].offset (mod slots[v].period).
 
     Nodes are indexed by period and offset, so happy_set(t) reads one
@@ -256,12 +256,10 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicS
     """
     slots: dict[int, Slot] = {}
     log = RoundLog()
-    if len(g) == 0:
-        return PeriodicSchedule(g.copy(), slots), log
     levels: dict[int, list[int]] = {}
     for v in g.nodes():
         levels.setdefault(_ceil_log2(g.degree(v) + 1), []).append(v)
-    for j in range(max(levels), -1, -1):
+    for j in range(max(levels, default=-1), -1, -1):
         members = levels.get(j)
         if not members:
             continue
@@ -303,7 +301,7 @@ def dynamic_insert(s: EliasSchedule, u: int, v: int) -> EliasSchedule:
     degree + 1. s is left unchanged; the new schedule shares its untouched
     state, so an event costs O(deg) Python steps plus C-speed dict copies.
     """
-    g = s.graph._share()
+    g = s.graph.copy()
     g.insert_edge(u, v)
     coloring = dict(s.coloring)
     for w in sorted({u, v}):
@@ -328,7 +326,7 @@ def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 
     """
     if math.isnan(recolor_threshold):
         raise ValueError("recolor threshold must be a number, got nan")
-    g = s.graph._share()
+    g = s.graph.copy()
     g.remove_edge(u, v)
     coloring = dict(s.coloring)
     for w in sorted((u, v)):

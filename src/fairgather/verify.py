@@ -11,7 +11,7 @@ against theorem-level bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .graph import ConflictGraph
 from .schedulers import Schedule
@@ -119,7 +119,7 @@ def _hosting_stats(happy: list[int], t0: int, t1: int) -> NodeStats:
     )
 
 
-def _audit_row(t: int, hs: set[int], adj: Mapping[int, list[int]], violations: list) -> None:
+def _audit_row(t: int, hs: AbstractSet[int], adj: Mapping[int, Sequence[int]], violations: list) -> None:
     """Reject unknown nodes in hs; append (t, u, w) for each edge u < w inside hs."""
     if not hs <= adj.keys():
         unknown = sorted(v for v in hs if v not in adj)
@@ -132,7 +132,7 @@ def _audit_row(t: int, hs: set[int], adj: Mapping[int, list[int]], violations: l
 
 def report_from_happy_sets(
     g: ConflictGraph,
-    happy_sets: Mapping[int, set[int]],
+    happy_sets: Mapping[int, AbstractSet[int]],
     window: tuple[int, int],
 ) -> ScheduleReport:
     """Statistics and independence audit from explicit per-holiday happy sets.
@@ -161,7 +161,7 @@ def report_from_happy_sets(
 
 
 def independence_violations(
-    g: ConflictGraph, happy_sets: Mapping[int, set[int]]
+    g: ConflictGraph, happy_sets: Mapping[int, AbstractSet[int]]
 ) -> list[tuple[int, int, int]]:
     """(holiday, u, v) for every edge whose endpoints host together, by holiday."""
     adj = {v: g.neighbors(v) for v in g.nodes()}

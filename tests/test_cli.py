@@ -190,6 +190,7 @@ def test_verify_audits_rows_past_the_window(tmp_path, capsys):
     ("2,0;y", "line 3: malformed schedule row '2,0;y'"),
     ("0,0;1", "line 3: holidays are numbered from 1"),
     ("1,2", "line 3: duplicate holiday 1"),
+    ("2,0;7", "line 3: holiday 2 lists unknown nodes [7]"),
 ])
 def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
     g = write(tmp_path, "path.txt", PATH3)
@@ -198,6 +199,15 @@ def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
     assert code == 1
     assert out == ""
     assert err.startswith(f"fairgather: {message}")
+
+
+def test_verify_skips_indented_comment_lines(tmp_path, capsys):
+    g = write(tmp_path, "path.txt", PATH3)
+    csv = write(tmp_path, "s.csv", "  # made by hand\nholiday,happy\n   # note\n1,0;2\n\t# tab\n2,1\n")
+    code, out, err = run(capsys, ["verify", "--input", g, "--schedule", csv, "--window", "2"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["0,1,1,1,0,2", "1,1,2,1,0,1", "2,1,1,1,0,2",
+                                    "# independence=ok"]
 
 
 def test_coloring_round_limit_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from fairgather.graph import (
     ConflictGraph,
+    _parse_node,
     complete_graph,
     cycle_graph,
     gnp_random_graph,
@@ -91,7 +93,16 @@ def test_remove_last_edge_leaves_isolated_nodes():
 
 def test_neighbors_sorted():
     g = ConflictGraph.from_edge_list("5 1\n5 9\n5 3")
-    assert g.neighbors(5) == [1, 3, 9]
+    assert g.neighbors(5) == (1, 3, 9)
+
+
+def test_neighbors_returns_the_stored_tuple():
+    g = ConflictGraph.from_edge_list("5 1\n5 9\nnode 4")
+    g.insert_edge(5, 3)
+    for v in g.nodes():
+        assert type(g.neighbors(v)) is tuple
+        assert g.neighbors(v) is g.neighbors(v)
+    assert g.neighbors(4) == ()
 
 
 def test_roundtrip_serialization():
@@ -133,7 +144,7 @@ def test_adjacency_stays_symmetric_and_sorted(ops):
             g.insert_edge(u, v)
     for v in g.nodes():
         nbrs = g.neighbors(v)
-        assert nbrs == sorted(nbrs)
+        assert list(nbrs) == sorted(nbrs)
         assert all(v in g.neighbors(u) for u in nbrs)
 
 
@@ -163,13 +174,13 @@ def _assert_matches_model(g, nodes, edges):
         for v in range(-1, 10):
             assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
     for v in nodes:
-        nbrs = sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
+        nbrs = tuple(sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v}))
         assert g.neighbors(v) == nbrs
         assert g.degree(v) == len(nbrs)
 
 
 store_ops = st.lists(
-    st.tuples(st.sampled_from(["+", "-", "copy", "share"]), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(st.sampled_from(["+", "-", "copy"]), st.integers(0, 7), st.integers(0, 7)),
     max_size=60,
 )
 
@@ -180,23 +191,16 @@ def test_edge_store_matches_set_of_pairs_model(ops):
     g = ConflictGraph()
     nodes: list[int] = []
     edges: set[tuple[int, int]] = set()
-    # Graphs left behind by "share", each with its own model; later writes
+    # Graphs left behind by "copy", each with its own model; later writes
     # to g must not reach them.
     left: list[tuple[ConflictGraph, list[int], set[tuple[int, int]]]] = []
     for op, u, v in ops:
         key = (min(u, v), max(u, v))
         if op == "copy":
-            c = g.copy()
-            if c.has_edge(u, v):
-                c.remove_edge(u, v)
-            elif u != v:
-                c.insert_edge(u, v)
-            c.insert_edge(8, 9)
-        elif op == "share":
-            # Continue on the sharing copy and write to the old graph, which
-            # must not reach the copy either.
+            # Continue on the copy and write to the old graph, which must not
+            # reach the copy either.
             old, old_nodes, old_edges = g, list(nodes), set(edges)
-            g = old._share()
+            g = old.copy()
             if key in old_edges:
                 old.remove_edge(u, v)
                 old_edges.remove(key)
@@ -230,6 +234,74 @@ def test_edge_store_matches_set_of_pairs_model(ops):
 )
 def test_generator_edge_counts(builder, n, expected_edges):
     assert builder(n).num_edges() == expected_edges
+
+
+edge_list_lines = st.lists(
+    st.one_of(
+        st.tuples(st.just("node"), st.integers(-2, 8)),
+        st.tuples(st.integers(-2, 8), st.integers(-2, 8)),
+        st.sampled_from(["", "# comment", "  # indented comment"]),
+    ),
+    max_size=30,
+)
+
+
+def _parse_by_updates(text):
+    """Reference parser: one add_node or insert_edge per line."""
+    g = ConflictGraph()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            if parts[0] == "node":
+                g.add_node(_parse_node(parts[1]))
+            else:
+                g.insert_edge(_parse_node(parts[0]), _parse_node(parts[1]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return g
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.nodes(), g.edges(), {v: g.neighbors(v) for v in g.nodes()}
+
+
+@given(edge_list_lines, st.booleans())
+@settings(max_examples=300)
+def test_from_edge_list_matches_edge_by_edge_updates(lines, indent):
+    # Self-loops, negative ids and duplicates in both orientations all occur.
+    pad = "  " if indent else ""
+    text = "\n".join(pad + (" ".join(map(str, ln)) if isinstance(ln, tuple) else ln)
+                     for ln in lines)
+    assert _outcome(ConflictGraph.from_edge_list, text) == _outcome(_parse_by_updates, text)
+
+
+def _by_updates(nodes, edges):
+    g = ConflictGraph()
+    for v in nodes:
+        g.add_node(v)
+    for u, v in edges:
+        g.insert_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_generators_match_edge_by_edge_construction(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng = random.Random(5)
+    cases = [
+        (complete_graph(n), _by_updates(range(n), pairs)),
+        (star_graph(n), _by_updates(range(n + 1), [(0, v) for v in range(1, n + 1)])),
+        (gnp_random_graph(n, 0.5, seed=5), _by_updates(range(n), [e for e in pairs if rng.random() < 0.5])),
+    ]
+    for g, ref in cases:
+        assert g.nodes() == ref.nodes() and g.edges() == ref.edges()
+        assert all(g.neighbors(v) == ref.neighbors(v) for v in g.nodes())
 
 
 def test_gnp_is_seed_deterministic():

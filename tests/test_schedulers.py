@@ -64,6 +64,12 @@ def test_phased_happy_outside_horizon_rejected():
         s.happy(0, 0)
 
 
+def test_phased_happy_set_is_the_stored_frozenset():
+    s = phased_greedy(path_graph(3), {0: 1, 1: 2, 2: 1}, 4)
+    assert s.happy_set(1) == {0, 2}
+    assert type(s.happy_set(1)) is frozenset and s.happy_set(1) is s.happy_set(1)
+
+
 def test_phased_first_happiness_at_initial_color():
     g = gnp_random_graph(40, 0.1, seed=3)
     init = greedy_color(g)
@@ -189,6 +195,15 @@ def test_distributed_slots_edgeless():
         g.add_node(v)
     s, _ = degree_slots_distributed(g, seed=0)
     assert all((s.slots[v].offset, s.slots[v].level) == (0, 0) for v in range(3))
+
+
+def test_slot_constructions_accept_the_empty_graph():
+    s = degree_slots_sequential(ConflictGraph())
+    d, log = degree_slots_distributed(ConflictGraph(), seed=0)
+    for schedule in (s, d):
+        assert schedule.slots == {} and len(schedule.graph) == 0
+        assert schedule.happy_set(1) == set() and periodic_conflicts(schedule) == []
+    assert (log.rounds, log.messages) == (0, 0)
 
 
 def test_distributed_slots_reproducible_and_conflict_free():
@@ -317,9 +332,9 @@ def test_dynamic_remove_rejects_nan_threshold():
 def test_derived_schedule_checks_every_touched_node(touched):
     s = elias_schedule(path_graph(3), {0: 1, 1: 2, 2: 1})
     with pytest.raises(ValueError, match="coloring must be proper"):
-        s._recolored(s.graph._share(), {0: 1, 1: 2, 2: 2}, touched)
+        s._recolored(s.graph.copy(), {0: 1, 1: 2, 2: 2}, touched)
     with pytest.raises(ValueError, match="coloring must be proper"):
-        s._recolored(s.graph._share(), {0: 1, 1: 2}, touched[:1])
+        s._recolored(s.graph.copy(), {0: 1, 1: 2}, touched[:1])
 
 
 def test_remove_matches_reference_on_every_small_path_coloring():
