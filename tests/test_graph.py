@@ -1,5 +1,7 @@
+import math
 import random
 import re
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -290,14 +292,29 @@ def _by_updates(nodes, edges):
     return g
 
 
+def _gnp_skip_edges(n, p, seed):
+    """The edges of the textbook geometric-skip walk (Batagelj & Brandes 2005), in draw order."""
+    rng = random.Random(seed)
+    log_q = math.log1p(-p)
+    edges = []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log1p(-rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((v, w))
+    return edges
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_generators_match_edge_by_edge_construction(n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng = random.Random(5)
     cases = [
         (complete_graph(n), _by_updates(range(n), pairs)),
         (star_graph(n), _by_updates(range(n + 1), [(0, v) for v in range(1, n + 1)])),
-        (gnp_random_graph(n, 0.5, seed=5), _by_updates(range(n), [e for e in pairs if rng.random() < 0.5])),
+        (gnp_random_graph(n, 0.5, seed=5), _by_updates(range(n), _gnp_skip_edges(n, 0.5, seed=5))),
     ]
     for g, ref in cases:
         assert g.nodes() == ref.nodes() and g.edges() == ref.edges()
@@ -310,3 +327,77 @@ def test_gnp_is_seed_deterministic():
     c = gnp_random_graph(30, 0.2, seed=8)
     assert a.edges() == b.edges()
     assert a.edges() != c.edges()
+
+
+def _gnp_per_pair(n, p, seed):
+    """The generator of earlier releases: one draw per pair, O(n^2). Kept as an oracle."""
+    rng = random.Random(seed)
+    g = ConflictGraph()
+    for v in range(n):
+        g.add_node(v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                g.insert_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize("n, p", [(5, 0.3), (12, 0.05)])
+def test_gnp_matches_the_per_pair_distribution(n, p):
+    seeds = range(3000)
+    pairs = n * (n - 1) // 2
+    # Standard deviations of one pair's edge frequency and of the sample
+    # variance of the edge count, which is Binomial(pairs, p) when pairs are
+    # independent: its fourth central moment is pairs*p*q*(1 + 3*(pairs - 2)*p*q).
+    pq = p * (1 - p)
+    freq_sd = math.sqrt(pq / len(seeds))
+    count_var = pairs * pq
+    mu4 = count_var * (1 + 3 * (pairs - 2) * pq)
+    var_sd = math.sqrt((mu4 - count_var**2) / len(seeds))
+
+    def stats(gen):
+        freq = dict.fromkeys(((u, v) for u in range(n) for v in range(u + 1, n)), 0)
+        counts = []
+        for seed in seeds:
+            g = gen(n, p, seed)
+            assert g.nodes() == list(range(n))
+            for e in g.edges():
+                freq[e] += 1
+            counts.append(g.num_edges())
+        return {e: c / len(seeds) for e, c in freq.items()}, statistics.variance(counts)
+
+    skip_freq, skip_var = stats(gnp_random_graph)
+    pair_freq, pair_var = stats(_gnp_per_pair)
+    for freq, var in ((skip_freq, skip_var), (pair_freq, pair_var)):
+        assert all(abs(f - p) <= 5 * freq_sd for f in freq.values()), freq
+        # Correlated pairs would move the variance, even with right marginals.
+        assert abs(var - count_var) <= 5 * var_sd, (var, count_var)
+    assert all(abs(skip_freq[e] - pair_freq[e]) <= 5 * math.sqrt(2) * freq_sd for e in skip_freq)
+    assert abs(skip_var - pair_var) <= 5 * math.sqrt(2) * var_sd
+
+
+@pytest.mark.parametrize("n, p, draws, edges", [
+    (0, 0.5, 0, []),
+    (1, 0.5, 0, []),
+    (6, 0.0, 0, []),
+    (9, 1.0, 36, complete_graph(9).edges()),
+    # log1p(-r) / log1p(-p) overflows to inf here: the walk must end, not raise.
+    (10, 1e-320, 1, []),
+    (10, 5e-324, 1, []),
+    # The per-pair loop of earlier releases drew n(n-1)/2 times, about 2e8.
+    (20000, 1e-4, None, None),
+])
+def test_gnp_draws_at_most_once_per_edge_plus_one(monkeypatch, n, p, draws, edges):
+    class CountingRandom(random.Random):
+        calls = 0
+
+        def random(self):
+            CountingRandom.calls += 1
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    g = gnp_random_graph(n, p, seed=1)
+    assert g.nodes() == list(range(n))
+    assert g.num_edges() <= CountingRandom.calls <= g.num_edges() + 1
+    if draws is not None:
+        assert CountingRandom.calls == draws and g.edges() == edges
