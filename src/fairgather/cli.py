@@ -27,10 +27,10 @@ def _default_seed() -> int:
         raise ValueError(f"FAIRGATHER_SEED must be an integer, got {raw!r}") from None
 
 
-def _holidays(args: argparse.Namespace) -> int:
-    if args.holidays < 1:
-        raise ValueError(f"--holidays must be at least 1, got {args.holidays}")
-    return args.holidays
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def _load_graph(path: str) -> graph.ConflictGraph:
@@ -64,7 +64,7 @@ def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, set[int
         t_str, _, ids = ln.partition(",")
         try:
             t = int(t_str)
-            happy = {int(tok) for tok in ids.split(";") if tok}
+            happy = set(map(int, filter(None, ids.split(";"))))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed schedule row {ln!r}") from None
         if t < 1:
@@ -122,7 +122,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    holidays = _holidays(args)
+    holidays = _at_least_one("--holidays", args.holidays)
     g = _load_graph(args.input)
     s = _SCHEDULES[args.algorithm](g, args)
     _emit(_schedule_csv(s.happy_set(t) for t in range(1, holidays + 1)), args.output)
@@ -168,7 +168,7 @@ def _parse_events(text: str) -> dict[int, list[tuple[int, str, int, int]]]:
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
-    holidays = _holidays(args)
+    holidays = _at_least_one("--holidays", args.holidays)
     # Checked here too, so an event file without removals cannot hide it.
     if math.isnan(args.threshold):
         raise ValueError("--threshold must be a number, got nan")
@@ -196,12 +196,13 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    window = _at_least_one("--window", args.window)
     g = _load_graph(args.input)
     with open(args.schedule_path, encoding="utf-8") as fh:
         happy_sets = _parse_schedule_csv(fh.read(), set(g.nodes()))
-    rep = verify.report_from_happy_sets(g, happy_sets, (1, args.window))
+    rep = verify.report_from_happy_sets(g, happy_sets, (1, window))
     # Rows past the window feed no statistics, but a conflict in any row fails.
-    beyond = {t: hs for t, hs in happy_sets.items() if t > args.window}
+    beyond = {t: hs for t, hs in happy_sets.items() if t > window}
     conflicts = list(rep.independence_violations) + verify.independence_violations(g, beyond)
     lines = ["node,happy_count,first_happy,mul,detected_period,max_gap"]
     for v in sorted(rep.nodes):

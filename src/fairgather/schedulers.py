@@ -194,9 +194,14 @@ def phased_greedy(g: ConflictGraph, init: dict[int, int], horizon: int) -> Phase
     On holiday i the nodes whose current color is i are happy; each is
     immediately recolored to the smallest s in (i, i + degree + 1] unused
     by its neighbors, so consecutive happy holidays of a node are at most
-    degree + 1 apart. The happy nodes of one phase form an independent
-    set, so their recolorings never interact and the phase is well defined
-    even though they all read the colors present at the start of the phase.
+    degree + 1 apart. Colors of nodes outside the graph are ignored.
+
+    The replay works on whole color classes: holders[c] lists the nodes
+    colored c and blocked[c] holds every node with a neighbor colored c.
+    Phase i walks c = i+1, i+2, ... once for all happy nodes together, and
+    those not in blocked[c] take c. Setup costs O(n + m). Per holiday, the
+    Python steps equal the largest recolor distance, and the set work, done
+    at C speed, is the sum of the happy nodes' degrees.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -205,18 +210,38 @@ def phased_greedy(g: ConflictGraph, init: dict[int, int], horizon: int) -> Phase
     if any(c < 1 for c in init.values()):
         raise ValueError("colors are positive integers")
 
-    col = dict(init)
+    # Neighbor tuples by node, so that nbrs.__getitem__ maps whole sets at C speed.
+    nbrs: dict[int, tuple[int, ...]] = {}
+    holders: dict[int, list[int]] = {}
+    blocked: dict[int, set[int]] = {}
+    for v in g.nodes():
+        nbrs[v] = g.neighbors(v)
+        holders.setdefault(init[v], []).append(v)
+        blocked.setdefault(init[v], set()).update(nbrs[v])
+
     happy_sets: list[frozenset[int]] = []
     for i in range(1, horizon + 1):
-        happy = sorted(v for v in g.nodes() if col[v] == i)
-        # Reading live colors equals reading the phase-start snapshot: no two
-        # happy nodes are adjacent, so no recoloring is visible to another.
-        for v in happy:
-            nbrs = g.neighbors(v)
-            col[v] = first_fit({col[u] for u in nbrs}, start=i + 1)
-            if col[v] > i + len(nbrs) + 1:
+        # frozenset of a list sizes its table for the elements; of a set, up to twice that.
+        happy = frozenset(holders.pop(i, ()))
+        blocked.pop(i, None)
+        happy_sets.append(happy)
+        waiting = set(happy)
+        c = i
+        while waiting:
+            c += 1
+            # blocked[c] only grows until phase c: a node colored c keeps c
+            # until then. The happy nodes are independent, so those taking c
+            # never block one another within the phase.
+            taken = blocked.setdefault(c, set())
+            free = waiting - taken
+            if not free:
+                continue
+            adj = list(map(nbrs.__getitem__, free))
+            if c > i + 1 and min(map(len, adj)) < c - i - 1:
                 raise AssertionError("greedy recolor escaped its pigeonhole window")
-        happy_sets.append(frozenset(happy))
+            holders.setdefault(c, []).extend(free)
+            taken.update(*adj)
+            waiting -= free
     return PhasedSchedule(g.copy(), happy_sets)
 
 

@@ -188,6 +188,7 @@ def test_verify_audits_rows_past_the_window(tmp_path, capsys):
 @pytest.mark.parametrize("row, message", [
     ("x,0", "line 3: malformed schedule row 'x,0'"),
     ("2,0;y", "line 3: malformed schedule row '2,0;y'"),
+    ("1,0;x", "line 3: malformed schedule row '1,0;x'"),
     ("0,0;1", "line 3: holidays are numbered from 1"),
     ("1,2", "line 3: duplicate holiday 1"),
     ("2,0;7", "line 3: holiday 2 lists unknown nodes [7]"),
@@ -199,6 +200,25 @@ def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
     assert code == 1
     assert out == ""
     assert err.startswith(f"fairgather: {message}")
+
+
+def test_verify_accepts_empty_ids_between_separators(tmp_path, capsys):
+    g = write(tmp_path, "path.txt", PATH3)
+    csv = write(tmp_path, "s.csv", "holiday,happy\n1,0;;2\n2,;1;\n")
+    code, out, err = run(capsys, ["verify", "--input", g, "--schedule", csv, "--window", "2"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["0,1,1,1,0,2", "1,1,2,1,0,1", "2,1,1,1,0,2",
+                                    "# independence=ok"]
+
+
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_verify_window_below_one_exit_1_before_reading_files(tmp_path, capsys, window):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, ["verify", "--input", missing, "--schedule", missing,
+                                  "--window", window])
+    assert code == 1
+    assert out == ""
+    assert err == f"fairgather: --window must be at least 1, got {window}\n"
 
 
 def test_verify_skips_indented_comment_lines(tmp_path, capsys):

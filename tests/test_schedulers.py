@@ -1,16 +1,25 @@
 import itertools
+import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairgather.codec import omega_encode, rho
-from fairgather.coloring import greedy_color, is_proper, local_random_color, smallest_free_color
+from fairgather.coloring import (
+    first_fit,
+    greedy_color,
+    is_proper,
+    local_random_color,
+    smallest_free_color,
+)
 from fairgather.graph import ConflictGraph, complete_graph, gnp_random_graph, path_graph, star_graph
 from fairgather.schedulers import (
     EliasSchedule,
     PeriodicSchedule,
+    PhasedSchedule,
     Slot,
     degree_slots_distributed,
     degree_slots_sequential,
@@ -87,6 +96,91 @@ def test_phased_gap_bounded_by_degree_plus_one():
         happy = [t for t in range(1, s.horizon + 1) if s.happy(v, t)]
         gaps = [b - a for a, b in zip(happy, happy[1:])]
         assert happy and max(gaps, default=1) <= g.degree(v) + 1
+
+
+def _phased_greedy_scan(g, init, horizon):
+    """The replay of earlier releases: a scan of every node per holiday. Kept as an oracle."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if not is_proper(g, init):
+        raise ValueError("initial coloring must be proper and cover every node")
+    if any(c < 1 for c in init.values()):
+        raise ValueError("colors are positive integers")
+
+    col = dict(init)
+    happy_sets: list[frozenset[int]] = []
+    for i in range(1, horizon + 1):
+        happy = sorted(v for v in g.nodes() if col[v] == i)
+        # Reading live colors equals reading the phase-start snapshot: no two
+        # happy nodes are adjacent, so no recoloring is visible to another.
+        for v in happy:
+            nbrs = g.neighbors(v)
+            col[v] = first_fit({col[u] for u in nbrs}, start=i + 1)
+            if col[v] > i + len(nbrs) + 1:
+                raise AssertionError("greedy recolor escaped its pigeonhole window")
+        happy_sets.append(frozenset(happy))
+    return PhasedSchedule(g.copy(), happy_sets)
+
+
+@st.composite
+def _phased_cases(draw):
+    """A graph, a proper coloring of it with gaps (maybe naming extra nodes), and a horizon."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = draw(st.integers(0, 30))
+    kind = draw(st.sampled_from(["gnp", "hubs"]))
+    if kind == "gnp":
+        g = gnp_random_graph(n, draw(st.sampled_from([0.05, 0.2, 0.5])), seed=rng.randrange(10**6))
+    else:
+        g = ConflictGraph()
+        for v in range(n):
+            g.add_node(v)
+        hubs = min(n, draw(st.integers(1, 3)))
+        for h in range(hubs):
+            for v in rng.sample(range(hubs, n), rng.randint(0, n - hubs)):
+                g.insert_edge(h, v)
+        for _ in range(rng.randint(0, n) if n >= 2 else 0):
+            u, v = rng.sample(range(n), 2)
+            if not g.has_edge(u, v):
+                g.insert_edge(u, v)
+    for v in range(n, n + draw(st.integers(0, 3))):
+        g.add_node(v)  # isolated nodes
+    base = greedy_color(g) if draw(st.booleans()) else local_random_color(g, seed=rng.randrange(100))[0]
+    # Distinct classes stay distinct: offsets are below the stretch k.
+    k = draw(st.integers(1, 4))
+    offset = {c: rng.randrange(k) for c in set(base.values())}
+    init = {v: c * k + offset[c] for v, c in base.items()}
+    for v in range(n + 10, n + 10 + draw(st.integers(0, 3))):
+        init[v] = rng.randint(1, 8)  # nodes outside the graph
+    horizon = draw(st.integers(1, 4 * (g.max_degree() + 1)))
+    return g, init, horizon
+
+
+@given(_phased_cases())
+@settings(max_examples=300, deadline=None)
+def test_phased_matches_node_scan_oracle(case):
+    g, init, horizon = case
+    s, ref = phased_greedy(g, init, horizon), _phased_greedy_scan(g, init, horizon)
+    assert s.horizon == ref.horizon == horizon
+    for t in range(1, horizon + 1):
+        assert s.happy_set(t) == ref.happy_set(t), t
+        hs = s.happy_set(t)
+        assert sys.getsizeof(hs) <= sys.getsizeof(frozenset(list(hs))), t
+
+
+def test_phased_stores_compact_frozensets():
+    # 300 leaves host together; a frozenset copied from a set of that size
+    # would hold a table twice as large as one built from a list.
+    g = star_graph(300)
+    s = phased_greedy(g, greedy_color(g), 8)
+    assert [len(s.happy_set(t)) for t in range(1, 9)] == [1, 300] * 4
+    for t in range(1, 9):
+        hs = s.happy_set(t)
+        assert sys.getsizeof(hs) <= sys.getsizeof(frozenset(list(hs))), t
+
+
+def test_phased_ignores_colors_of_nodes_outside_the_graph():
+    s = phased_greedy(path_graph(2), {0: 1, 1: 2, 99: 1}, 3)
+    assert [sorted(s.happy_set(t)) for t in (1, 2, 3)] == [[0], [1], [0]]
 
 
 # ----------------------------------------------------------------- elias
