@@ -45,8 +45,10 @@ def is_proper(g: ConflictGraph, coloring: Mapping[int, int]) -> bool:
 def first_fit(taken: Container[int], start: int = 1) -> int:
     """Smallest integer >= start that is not in taken.
 
-    The one greedy step behind every construction: first-fit colors,
-    phased recoloring and degree-bound slot offsets.
+    The greedy step behind first-fit colors (`smallest_free_color`,
+    `greedy_color`) and the offsets of `degree_slots_sequential`.
+    `phased_greedy` recolors whole color classes by set differences and
+    does not call it; its node-by-node test oracle does.
     """
     c = start
     while c in taken:

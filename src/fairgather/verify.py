@@ -2,7 +2,9 @@
 periods, and brute-force oracles.
 
 All checks here recompute from the raw happy sets, never from scheduler
-internals, so they catch bugs in the constructions they audit. Gap checks
+internals, so they catch bugs in the constructions they audit. A report's
+statistics cover its window, while its independence and unknown-node checks
+cover every row it is given, so no row escapes the audit. Gap checks
 are anchored at each node's first happy holiday: the warm-up before a node
 first hosts is bounded separately by its initial color and is not counted
 against theorem-level bounds.
@@ -119,26 +121,20 @@ def _hosting_stats(happy: list[int], t0: int, t1: int) -> NodeStats:
     )
 
 
-def _audit_row(t: int, hs: AbstractSet[int], adj: Mapping[int, Sequence[int]], violations: list) -> None:
-    """Reject unknown nodes in hs; append (t, u, w) for each edge u < w inside hs."""
-    if not hs <= adj.keys():
-        unknown = sorted(v for v in hs if v not in adj)
-        raise ValueError(f"holiday {t} lists unknown nodes {unknown[:3]}")
-    for u in hs:
-        nbrs = adj[u]
-        if not hs.isdisjoint(nbrs):
-            violations.extend((t, u, w) for w in nbrs if u < w and w in hs)
-
-
 def report_from_happy_sets(
     g: ConflictGraph,
     happy_sets: Mapping[int, AbstractSet[int]],
     window: tuple[int, int],
 ) -> ScheduleReport:
-    """Statistics and independence audit from explicit per-holiday happy sets.
+    """Statistics over the window; independence and unknown-node checks
+    over every row given.
 
-    One pass over the window's happy sets builds each node's hosting list;
-    the cost is O(n + hosting events + edges at happy nodes).
+    Every holiday in [t0, t1] must have a row. Rows outside the window feed
+    no statistics, but an unknown node in any row raises and a conflict in
+    any row is listed. Violations come by ascending holiday, then in
+    happy-set order, then in neighbor order. One pass over the rows builds
+    each node's hosting list; the cost is
+    O(n + hosting events + edges at happy nodes).
     """
     t0, t1 = window
     if t0 < 1 or t1 < t0:
@@ -150,25 +146,21 @@ def report_from_happy_sets(
     adj = {v: g.neighbors(v) for v in g.nodes()}
     hosting: dict[int, list[int]] = {v: [] for v in adj}
     violations: list[tuple[int, int, int]] = []
-    for t in range(t0, t1 + 1):
+    for t in sorted(happy_sets):
         hs = happy_sets[t]
-        _audit_row(t, hs, adj, violations)
+        if not hs <= adj.keys():
+            unknown = sorted(v for v in hs if v not in adj)
+            raise ValueError(f"holiday {t} lists unknown nodes {unknown[:3]}")
+        in_window = t0 <= t <= t1
         for u in hs:
-            hosting[u].append(t)
+            nbrs = adj[u]
+            if not hs.isdisjoint(nbrs):
+                violations.extend((t, u, w) for w in nbrs if u < w and w in hs)
+            if in_window:
+                hosting[u].append(t)
 
     stats = {v: _hosting_stats(hosting[v], t0, t1) for v in adj}
     return ScheduleReport(window=(t0, t1), nodes=stats, independence_violations=tuple(violations))
-
-
-def independence_violations(
-    g: ConflictGraph, happy_sets: Mapping[int, AbstractSet[int]]
-) -> list[tuple[int, int, int]]:
-    """(holiday, u, v) for every edge whose endpoints host together, by holiday."""
-    adj = {v: g.neighbors(v) for v in g.nodes()}
-    violations: list[tuple[int, int, int]] = []
-    for t in sorted(happy_sets):
-        _audit_row(t, happy_sets[t], adj, violations)
-    return violations
 
 
 def report(g: ConflictGraph, s: Schedule, window: tuple[int, int]) -> ScheduleReport:

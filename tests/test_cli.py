@@ -42,6 +42,14 @@ def test_bounds_table(tmp_path, capsys):
     assert periods == [2, 8, 8, 64]
 
 
+
+@pytest.mark.parametrize("max_color", ["0", "-3"])
+def test_bounds_max_color_below_one_exit_1(capsys, max_color):
+    code, out, err = run(capsys, ["bounds", "--max-color", max_color])
+    assert code == 1
+    assert out == ""
+    assert err == f"fairgather: --max-color must be at least 1, got {max_color}\n"
+
 def test_verify_accepts_valid_schedule(tmp_path, capsys):
     g = write(tmp_path, "tri.txt", TRIANGLE)
     out_csv = str(tmp_path / "out.csv")

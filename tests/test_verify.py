@@ -12,7 +12,6 @@ from fairgather.verify import (
     brute_force_mis,
     check_gap_bounds,
     happy_set_vs_mis,
-    independence_violations,
     report,
     report_from_happy_sets,
     smallest_window_period,
@@ -262,23 +261,38 @@ def _scan_violations(g, happy_sets, t0, t1):
     return out
 
 
-@given(st.integers(0, 10**6), st.integers(2, 30))
+@given(st.integers(0, 10**6), st.integers(2, 30), st.integers(1, 8), st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
-def test_planted_conflicts_listed_in_reference_order(seed, n):
+def test_planted_conflicts_listed_in_reference_order(seed, n, a, b):
     import random
 
     rng = random.Random(seed)
     g = gnp_random_graph(n, 0.3, seed=seed)
     happy_sets = {t: {v for v in g.nodes() if rng.random() < 0.4} for t in range(1, 9)}
-    expected = _scan_violations(g, happy_sets, 1, 8)
-    rep = report_from_happy_sets(g, happy_sets, (1, 8))
-    assert list(rep.independence_violations) == expected
-    assert independence_violations(g, happy_sets) == expected
+    t0, t1 = min(a, b), max(a, b)
+    rep = report_from_happy_sets(g, happy_sets, (t0, t1))
+    # Every row is audited; only the window's rows feed the statistics.
+    assert list(rep.independence_violations) == _scan_violations(g, happy_sets, 1, 8)
+    inside = {t: happy_sets[t] for t in range(t0, t1 + 1)}
+    assert rep.nodes == report_from_happy_sets(g, inside, (t0, t1)).nodes
 
 
 def test_independence_violations_checks_every_row():
     g = path_graph(3)
     happy_sets = {3: {0, 1}, 1: {0, 2}, 2: {1, 2}}
-    assert independence_violations(g, happy_sets) == [(2, 1, 2), (3, 0, 1)]
+    rep = report_from_happy_sets(g, happy_sets, (1, 1))
+    assert list(rep.independence_violations) == [(2, 1, 2), (3, 0, 1)]
     with pytest.raises(ValueError, match="unknown"):
-        independence_violations(g, {1: {7}})
+        report_from_happy_sets(g, {1: {7}}, (1, 1))
+
+
+def test_rows_outside_the_window_are_audited_but_not_counted():
+    g = path_graph(3)
+    happy_sets = {1: {0, 1}, 2: {0, 2}, 3: {1}, 4: {1, 2}}
+    rep = report_from_happy_sets(g, happy_sets, (2, 3))
+    assert rep.independence_violations == ((1, 0, 1), (4, 1, 2))
+    assert rep.nodes[0].happy == (2,)
+    assert rep.nodes[1].happy == (3,)
+    assert rep.nodes[2].happy == (2,)
+    with pytest.raises(ValueError, match=r"holiday 5 lists unknown nodes \[9\]"):
+        report_from_happy_sets(g, {**happy_sets, 5: {1, 9}}, (2, 3))
