@@ -1,7 +1,7 @@
 """Fair and periodic scheduling of independent sets on conflict graphs."""
 
 from .analysis import PeriodBound, budget_check, elias_period_bound, log_star, phi
-from .codec import lsb_match, omega_decode, omega_encode, rho
+from .codec import omega_decode, omega_encode, rho
 from .coloring import RoundLog, greedy_color, is_proper, local_random_color
 from .graph import (
     ConflictGraph,
@@ -55,7 +55,6 @@ __all__ = [
     "is_proper",
     "local_random_color",
     "log_star",
-    "lsb_match",
     "max_satisfaction",
     "omega_decode",
     "omega_encode",

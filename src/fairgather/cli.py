@@ -10,6 +10,7 @@ defaults to the FAIRGATHER_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -38,12 +39,13 @@ def _load_graph(path: str) -> graph.ConflictGraph:
         return graph.ConflictGraph.from_edge_list(fh.read())
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write the chunks in order to the output file, or to stdout if None."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _schedule_csv(happy_sets: Iterable[AbstractSet[int]]) -> str:
@@ -104,7 +106,7 @@ _SCHEDULES = {
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = _GRAPHS[args.kind](args)
     header = f"# kind={args.kind} nodes={args.nodes} p={args.p} seed={args.seed}\n"
-    _emit(header + g.to_edge_list(), args.output)
+    _emit(itertools.chain([header], g.edge_list_chunks()), args.output)
     return 0
 
 
@@ -117,7 +119,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         coloring, log = local_random_color(g, seed=args.seed)
         trailer = f"# rounds={log.rounds}\n"
     lines = [f"{v} {coloring[v]}" for v in sorted(g.nodes())]
-    _emit("\n".join(lines) + "\n" + trailer, args.output)
+    _emit(["\n".join(lines) + "\n" + trailer], args.output)
     return 0
 
 
@@ -125,7 +127,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     holidays = _at_least_one("--holidays", args.holidays)
     g = _load_graph(args.input)
     s = _SCHEDULES[args.algorithm](g, args)
-    _emit(_schedule_csv(s.happy_set(t) for t in range(1, holidays + 1)), args.output)
+    _emit([_schedule_csv(s.happy_set(t) for t in range(1, holidays + 1))], args.output)
     return 0
 
 
@@ -136,7 +138,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         r = codec.rho(c)
         b = analysis.elias_period_bound(c)
         lines.append(f"{c},{r},{1 << r},{b.phi_value:.6g},{b.upper_bound:.6g}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return 0
 
 
@@ -147,7 +149,7 @@ def _cmd_satisfy(args: argparse.Namespace) -> int:
     for (u, v), head in sorted(orientation.items()):
         tail = v if head == u else u
         lines.append(f"{tail}->{head}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return 0
 
 
@@ -192,7 +194,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             if t <= holidays:
                 yield s.happy_set(t)
 
-    _emit(_schedule_csv(replay()), args.output)
+    _emit([_schedule_csv(replay())], args.output)
     return 0
 
 
@@ -213,7 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines.append(f"# independence={'violated' if conflicts else 'ok'}")
     for t, u, v in conflicts[:10]:
         lines.append(f"# conflict holiday={t} edge={u}-{v}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return 1 if conflicts else 0
 
 

@@ -65,11 +65,3 @@ def code_residue(code: str) -> int:
     """Value of a codeword read with its first written bit as least significant."""
     return int(code[::-1], 2)
 
-
-def lsb_match(t: int, code: str) -> bool:
-    """True iff the len(code) least-significant bits of t spell code reversed.
-
-    Evaluated by the modular identity: the low bits match exactly when
-    t mod 2**len(code) equals the reversed-bit value of the codeword.
-    """
-    return t % (1 << len(code)) == code_residue(code)

@@ -14,6 +14,8 @@ from collections import defaultdict
 from math import inf, log1p
 from typing import Iterable, Iterator
 
+_CHUNK = 1 << 14  # nodes per piece of edge_list_chunks' text
+
 
 class ConflictGraph:
     """Undirected simple graph with sorted adjacency and dynamic edge updates.
@@ -153,9 +155,23 @@ class ConflictGraph:
 
     def to_edge_list(self) -> str:
         """Serialize in the canonical format accepted by from_edge_list."""
-        lines = [f"node {v}" for v in sorted(self._adj) if not self._adj[v]]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self.edge_list_chunks())
+
+    def edge_list_chunks(self) -> Iterator[str]:
+        """to_edge_list's text in pieces of at most _CHUNK nodes' lines, so
+        a writer never holds the whole text: first a "node v" line per
+        isolated node, then each edge once as "u w" with u < w, ascending."""
+        adj = self._adj
+        order = sorted(adj)
+        starts = range(0, len(order), _CHUNK)
+        for i in starts:
+            isolated = [f"node {v}\n" for v in order[i:i + _CHUNK] if not adj[v]]
+            if isolated:
+                yield "".join(isolated)
+        for i in starts:
+            lines = [f"{u} {w}\n" for u in order[i:i + _CHUNK] for w in adj[u] if w > u]
+            if lines:
+                yield "".join(lines)
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -77,14 +77,6 @@ def max_satisfaction_with_stats(g: ConflictGraph) -> tuple[Orientation, int, Pee
     return orientation, count, stats
 
 
-def satisfied_nodes(g: ConflictGraph, orientation: Orientation) -> set[int]:
-    """Nodes with at least one incident edge oriented toward them."""
-    missing = [e for e in g.edges() if e not in orientation]
-    if missing:
-        raise ValueError(f"orientation misses edges {missing[:3]}")
-    return set(orientation.values())
-
-
 def brute_force_satisfaction(g: ConflictGraph) -> int:
     """Maximum satisfied count over all edge orientations (test oracle).
 

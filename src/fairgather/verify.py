@@ -8,12 +8,20 @@ cover every row it is given, so no row escapes the audit. Gap checks
 are anchored at each node's first happy holiday: the warm-up before a node
 first hosts is bounded separately by its initial color and is not counted
 against theorem-level bounds.
+
+An audit over R rows costs O(hosting events) Python appends, O(n + m)
+C-speed mask operations on R-bit ints (one conflict mask per node) and O(R)
+C-speed work per distinct hosting pattern. Nodes with equal hosting
+patterns share one frozen NodeStats.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Mapping, Sequence
+from functools import reduce
+from operator import or_, sub
+from typing import AbstractSet, Callable, Mapping
 
 from .graph import ConflictGraph
 from .schedulers import Schedule
@@ -49,73 +57,33 @@ class GapViolation:
     bound: int
 
 
-def _border_table(seq: Sequence) -> list[int]:
-    """border[i] = length of the longest proper border of seq[:i + 1] (KMP)."""
-    border = [0] * len(seq)
-    k = 0
-    for i in range(1, len(seq)):
-        while k and seq[i] != seq[k]:
-            k = border[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        border[i] = k
-    return border
+def _window_period(flags: bytearray) -> int:
+    """Smallest period of a window's flag string if it is at most half the
+    length, else 0.
 
-
-def smallest_window_period(flags: Sequence[bool]) -> int:
-    """Smallest p with flags[i] == flags[i+p] across the window, if p is
-    small enough to be seen twice (p <= len/2); otherwise 0."""
-    n = len(flags)
-    if n == 0:
-        return 0
-    # smallest period = n - longest border
-    period = n - _border_table(flags)[-1]
-    return period if period <= n // 2 else 0
-
-
-def _smallest_hosting_period(hosts: list[int], gaps: list[int], length: int) -> int:
-    """Smallest period of a window's flag string, from its hosting positions.
-
-    hosts are the 0-based positions of the True flags (ascending, at least
-    one) in a window of the given length; gaps are their differences. A
-    period p < length - hosts[0] maps the first hosting onto another one,
-    so p = hosts[j] - hosts[0] for some j >= 1. Such a p is a period iff
-    the gap sequence has period j, hosts[j - 1] < p (no earlier hosting
-    maps back inside the window) and hosts[k - j + 1] + p >= length (the
-    last j hostings map past its end). The gap periods j come from the KMP
-    border chain, which keeps the search linear in len(hosts). Failing
-    all of these, the smallest period shifts every hosting out of the
-    window.
+    By Fine and Wilf, when some period p <= len/2 exists the smallest one
+    is the first recurrence of the first half at a position >= 1: an earlier
+    recurrence q would make gcd(p, q) < p a period too. So one find of the
+    first half at positions 1..len/2 and one slice comparison settle it.
     """
-    k = len(gaps)
-    if k:
-        border = _border_table(gaps)
-        b = border[-1]
-        while True:
-            j = k - b
-            p = hosts[j] - hosts[0]
-            if hosts[j - 1] < p and hosts[k - j + 1] + p >= length:
-                return p
-            if b == 0:
-                break
-            b = border[b - 1]
-    return max(length - hosts[0], hosts[-1] + 1)
+    half = len(flags) // 2
+    p = flags.find(flags[:half], 1, 2 * half)
+    return p if p > 0 and flags[p:] == flags[:-p] else 0
 
 
-def _hosting_stats(happy: list[int], t0: int, t1: int) -> NodeStats:
-    """Statistics of one node from its ascending hosting holidays in [t0, t1]."""
+def _window_stats(happy: tuple[int, ...], flags: bytearray, t0: int, t1: int) -> NodeStats:
+    """Statistics of one node from its hosting holidays in [t0, t1] and the
+    window's flag string (b"1" where it hosts)."""
     length = t1 - t0 + 1
     if not happy:
         return NodeStats(happy=(), mul=length, detected_period=1 if length >= 2 else 0,
                          first_happy=None, max_gap=None)
-    gaps = [b - a for a, b in zip(happy, happy[1:])]
-    widest = max(gaps, default=0)
+    widest = max(map(sub, happy[1:], happy), default=0)
     tail = t1 - happy[-1] + 1
-    period = _smallest_hosting_period([t - t0 for t in happy], gaps, length)
     return NodeStats(
-        happy=tuple(happy),
+        happy=happy,
         mul=max(happy[0] - t0, widest - 1, tail - 1),
-        detected_period=period if period <= length // 2 else 0,
+        detected_period=_window_period(flags),
         first_happy=happy[0],
         max_gap=max(widest, tail),
     )
@@ -132,9 +100,16 @@ def report_from_happy_sets(
     Every holiday in [t0, t1] must have a row. Rows outside the window feed
     no statistics, but an unknown node in any row raises and a conflict in
     any row is listed. Violations come by ascending holiday, then in
-    happy-set order, then in neighbor order. One pass over the rows builds
-    each node's hosting list; the cost is
-    O(n + hosting events + edges at happy nodes).
+    happy-set order, then in neighbor order.
+
+    One pass over the rows builds each node's hosting pattern: the tuple
+    of holidays on which it hosts. Per distinct pattern, a flag row over
+    the R row ranks gives an R-bit mask and the window's statistics, which
+    every node with that pattern shares. A node's mask ANDed with the OR
+    of its neighbors' masks holds exactly its conflicting rows, and only
+    those rows are scanned for the violating pairs. The cost is
+    O(hosting events) Python appends, O(n + m) mask operations on R-bit
+    ints and O(R) C-speed work per distinct pattern.
     """
     t0, t1 = window
     if t0 < 1 or t1 < t0:
@@ -145,21 +120,51 @@ def report_from_happy_sets(
 
     adj = {v: g.neighbors(v) for v in g.nodes()}
     hosting: dict[int, list[int]] = {v: [] for v in adj}
-    violations: list[tuple[int, int, int]] = []
-    for t in sorted(happy_sets):
+    rows = sorted(happy_sets)
+    for t in rows:
         hs = happy_sets[t]
         if not hs <= adj.keys():
             unknown = sorted(v for v in hs if v not in adj)
             raise ValueError(f"holiday {t} lists unknown nodes {unknown[:3]}")
-        in_window = t0 <= t <= t1
         for u in hs:
-            nbrs = adj[u]
-            if not hs.isdisjoint(nbrs):
-                violations.extend((t, u, w) for w in nbrs if u < w and w in hs)
-            if in_window:
-                hosting[u].append(t)
+            hosting[u].append(t)
 
-    stats = {v: _hosting_stats(hosting[v], t0, t1) for v in adj}
+    # The window's holidays all have rows, so they hold consecutive ranks.
+    rank = dict(zip(rows, range(len(rows))))
+    blank = bytearray(b"0") * len(rows)
+    lo, hi = rank[t0], rank[t1] + 1
+    records: dict[tuple[int, ...], tuple[int, NodeStats]] = {}
+    masks: dict[int, int] = {}
+    stats: dict[int, NodeStats] = {}
+    for v, hosts in hosting.items():
+        pattern = tuple(hosts)
+        record = records.get(pattern)
+        if record is None:
+            row = blank[:]
+            for t in pattern:
+                row[rank[t]] = 49  # b"1"
+            happy = pattern[bisect_left(pattern, t0):bisect_right(pattern, t1)]
+            record = records[pattern] = (int(row, 2), _window_stats(happy, row[lo:hi], t0, t1))
+        masks[v], stats[v] = record
+
+    clash = 0
+    for v, nbrs in adj.items():
+        if masks[v] and nbrs:
+            clash |= masks[v] & reduce(or_, map(masks.__getitem__, nbrs))
+
+    violations: list[tuple[int, int, int]] = []
+    if clash:
+        # Bit R-1-i of a mask is row rank i, as in its flag row.
+        flags = format(clash, f"0{len(rows)}b")
+        i = flags.find("1")
+        while i >= 0:
+            t = rows[i]
+            hs = happy_sets[t]
+            for u in hs:
+                nbrs = adj[u]
+                if not hs.isdisjoint(nbrs):
+                    violations.extend((t, u, w) for w in nbrs if u < w and w in hs)
+            i = flags.find("1", i + 1)
     return ScheduleReport(window=(t0, t1), nodes=stats, independence_violations=tuple(violations))
 
 

@@ -24,7 +24,8 @@ from fairgather.schedulers import (
     elias_schedule,
     phased_greedy,
 )
-from fairgather.verify import check_gap_bounds, happy_set_vs_mis, report, smallest_window_period
+from fairgather.verify import check_gap_bounds, happy_set_vs_mis, report
+from oracles import smallest_window_period
 
 EPS = 1e-9
 

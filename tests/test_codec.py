@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fairgather.codec import code_residue, lsb_match, omega_decode, omega_encode, rho
+from fairgather.codec import code_residue, omega_decode, omega_encode, rho
+
+
+def lsb_match(t: int, code: str) -> bool:
+    """True iff the len(code) least-significant bits of t spell code reversed."""
+    return format(t, "b")[::-1].ljust(len(code), "0")[:len(code)] == code
+
 
 # codeword table for 1..15, as listed in the omega-code literature
 OMEGA_TABLE = [

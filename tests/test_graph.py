@@ -114,6 +114,17 @@ def test_roundtrip_serialization():
     assert "node 9" in text
 
 
+def test_edge_list_chunks_join_to_the_canonical_text():
+    # 40,000 nodes span three chunks; about half of them are isolated.
+    g = gnp_random_graph(40_000, 0.000_02, seed=4)
+    chunks = list(g.edge_list_chunks())
+    assert len(chunks) > 3 and all(c.endswith("\n") for c in chunks)
+    lines = [f"node {v}" for v in sorted(g.nodes()) if not g.degree(v)]
+    lines += [f"{u} {w}" for u, w in g.edges()]
+    assert "".join(chunks) == g.to_edge_list() == "\n".join(lines) + "\n"
+    assert ConflictGraph().to_edge_list() == ""
+
+
 def test_connected_components():
     g = ConflictGraph.from_edge_list("0 1\n2 3\nnode 9")
     assert g.connected_components() == [[0, 1], [2, 3], [9]]

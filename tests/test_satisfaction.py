@@ -10,8 +10,15 @@ from fairgather.satisfaction import (
     brute_force_satisfaction,
     max_satisfaction,
     max_satisfaction_with_stats,
-    satisfied_nodes,
 )
+
+
+def satisfied_nodes(g, orientation):
+    """Nodes with at least one incident edge oriented toward them."""
+    missing = [e for e in g.edges() if e not in orientation]
+    if missing:
+        raise ValueError(f"orientation misses edges {missing[:3]}")
+    return set(orientation.values())
 
 
 def build(n, edges):

@@ -14,8 +14,8 @@ from fairgather.verify import (
     happy_set_vs_mis,
     report,
     report_from_happy_sets,
-    smallest_window_period,
 )
+from oracles import smallest_window_period
 
 
 def single_node_graph():
@@ -197,20 +197,12 @@ def test_detected_period_divides_true_period(seed, n):
 
 
 def _flag_node_stats(flags, t0, t1):
-    """Reference NodeStats from the window's flag string (KMP border period)."""
+    """Reference NodeStats from the window's flag string (KMP period)."""
     happy = tuple(t0 + i for i, f in enumerate(flags) if f)
     longest = run = 0
     for f in flags:
         run = 0 if f else run + 1
         longest = max(longest, run)
-    border, k = [0] * len(flags), 0
-    for i in range(1, len(flags)):
-        while k and flags[i] != flags[k]:
-            k = border[k - 1]
-        if flags[i] == flags[k]:
-            k += 1
-        border[i] = k
-    period = len(flags) - border[-1]
     if happy:
         gaps = [b - a for a, b in zip(happy, happy[1:])] + [t1 - happy[-1] + 1]
         max_gap = max(gaps)
@@ -219,7 +211,7 @@ def _flag_node_stats(flags, t0, t1):
     return NodeStats(
         happy=happy,
         mul=longest,
-        detected_period=period if period <= len(flags) // 2 else 0,
+        detected_period=smallest_window_period(flags),
         first_happy=happy[0] if happy else None,
         max_gap=max_gap,
     )
@@ -249,10 +241,22 @@ def test_hosting_stats_match_flag_reference(bits, period, flips, t0):
     assert rep.nodes[0] == _flag_node_stats(flags, t0, t1)
 
 
-def _scan_violations(g, happy_sets, t0, t1):
-    """Reference: every happy node's neighbor list, in happy-set order."""
+@pytest.mark.parametrize("t0", [1, 3])
+def test_every_short_flag_string_matches_flag_reference(t0):
+    g = single_node_graph()
+    for length in range(1, 13):
+        t1 = t0 + length - 1
+        for bits in range(1 << length):
+            flags = [bool(bits >> i & 1) for i in range(length)]
+            happy_sets = {t0 + i: ({0} if f else set()) for i, f in enumerate(flags)}
+            rep = report_from_happy_sets(g, happy_sets, (t0, t1))
+            assert rep.nodes[0] == _flag_node_stats(flags, t0, t1), flags
+
+
+def _scan_violations(g, happy_sets):
+    """Reference: every row's happy nodes' neighbor lists, in happy-set order."""
     out = []
-    for t in range(t0, t1 + 1):
+    for t in sorted(happy_sets):
         hs = happy_sets[t]
         for u in hs:
             for w in g.neighbors(u):
@@ -272,7 +276,7 @@ def test_planted_conflicts_listed_in_reference_order(seed, n, a, b):
     t0, t1 = min(a, b), max(a, b)
     rep = report_from_happy_sets(g, happy_sets, (t0, t1))
     # Every row is audited; only the window's rows feed the statistics.
-    assert list(rep.independence_violations) == _scan_violations(g, happy_sets, 1, 8)
+    assert list(rep.independence_violations) == _scan_violations(g, happy_sets)
     inside = {t: happy_sets[t] for t in range(t0, t1 + 1)}
     assert rep.nodes == report_from_happy_sets(g, inside, (t0, t1)).nodes
 
@@ -296,3 +300,39 @@ def test_rows_outside_the_window_are_audited_but_not_counted():
     assert rep.nodes[2].happy == (2,)
     with pytest.raises(ValueError, match=r"holiday 5 lists unknown nodes \[9\]"):
         report_from_happy_sets(g, {**happy_sets, 5: {1, 9}}, (2, 3))
+
+
+def test_rows_far_apart_are_audited_in_order():
+    # Rows 1..6 and 10**9: conflicts on both sides of the window (2, 5).
+    g = path_graph(4)
+    happy_sets = {1: {0, 1, 3}, 2: {0, 2}, 3: {1, 3}, 4: {0, 3}, 5: {1}, 6: {0, 2},
+                  10**9: {2, 1, 3, 0}}
+    rep = report_from_happy_sets(g, happy_sets, (2, 5))
+    assert rep.independence_violations == tuple(_scan_violations(g, happy_sets))
+    assert [t for t, _, _ in rep.independence_violations] == [1, 10**9, 10**9, 10**9]
+    assert rep.nodes[0].happy == (2, 4)
+    assert rep.nodes[1].happy == (3, 5)
+    assert rep.nodes[1].detected_period == 2
+
+
+@pytest.mark.parametrize("algorithm", ["elias", "slots"])
+def test_periodic_reports_match_node_by_node_reference(algorithm):
+    g = gnp_random_graph(300, 0.03, seed=17)
+    s = elias_schedule(g, greedy_color(g)) if algorithm == "elias" else degree_slots_sequential(g)
+    happy_sets = {t: s.happy_set(t) for t in range(1, 97)}
+    for t0, t1 in ((1, 96), (9, 50)):
+        rep = report_from_happy_sets(g, happy_sets, (t0, t1))
+        assert rep.independence_violations == ()
+        assert len(set(map(id, rep.nodes.values()))) < len(g) // 4  # nodes share patterns
+        for v in g.nodes():
+            flags = [v in happy_sets[t] for t in range(t0, t1 + 1)]
+            assert rep.nodes[v] == _flag_node_stats(flags, t0, t1), (t0, t1, v)
+
+
+def test_nodes_sharing_a_slot_share_their_stats():
+    g = ConflictGraph.from_edge_list("0 1\n2 3\n")
+    s = degree_slots_sequential(g)
+    assert s.slots[0] == s.slots[2] != s.slots[1]
+    rep = report(g, s, (1, 8))
+    assert rep.nodes[0] == rep.nodes[2] != rep.nodes[1]
+    assert rep.nodes[0] is rep.nodes[2]
