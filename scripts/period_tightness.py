@@ -18,7 +18,7 @@ def main() -> None:
     print(f"{'color':>6} {'codeword':>16} {'rho':>4} {'period':>10} {'bound':>14} {'ratio':>8}")
     for c in range(1, args.max_color + 1):
         period = 2 ** rho(c)
-        bound = elias_period_bound(c).upper_bound
+        bound = elias_period_bound(c)
         ratio = period / bound
         tight = "  <- tight" if abs(period - bound) < 1e-6 * bound else ""
         print(f"{c:>6} {omega_encode(c):>16} {rho(c):>4} {period:>10} "

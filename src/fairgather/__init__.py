@@ -1,6 +1,6 @@
 """Fair and periodic scheduling of independent sets on conflict graphs."""
 
-from .analysis import PeriodBound, budget_check, elias_period_bound, log_star, phi
+from .analysis import budget_check, elias_period_bound, log_star, phi
 from .codec import omega_decode, omega_encode, rho
 from .coloring import RoundLog, greedy_color, is_proper, local_random_color
 from .graph import (
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConflictGraph",
     "EliasSchedule",
-    "PeriodBound",
     "PeriodicSchedule",
     "PhasedSchedule",
     "RoundLog",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -37,23 +36,11 @@ def log_star(x: float) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class PeriodBound:
-    """Period budget for one color: 2**rho(color) must stay <= upper_bound."""
-
-    color: int
-    phi_value: float
-    log_star: int
-    upper_bound: float
-
-
-def elias_period_bound(c: int) -> PeriodBound:
+def elias_period_bound(c: int) -> float:
     """Upper bound 2**(1 + log*(c)) * phi(c) on the omega-schedule period of color c."""
     if c < 1:
         raise ValueError(f"colors are positive integers, got {c}")
-    ls = log_star(c)
-    pv = phi(c)
-    return PeriodBound(color=c, phi_value=pv, log_star=ls, upper_bound=2.0 ** (1 + ls) * pv)
+    return 2.0 ** (1 + log_star(c)) * phi(c)
 
 
 def budget_check(periods: list[int]) -> bool:

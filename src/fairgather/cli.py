@@ -136,8 +136,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = ["color,rho,period,phi,upper_bound"]
     for c in range(1, max_color + 1):
         r = codec.rho(c)
-        b = analysis.elias_period_bound(c)
-        lines.append(f"{c},{r},{1 << r},{b.phi_value:.6g},{b.upper_bound:.6g}")
+        bound = analysis.elias_period_bound(c)
+        lines.append(f"{c},{r},{1 << r},{analysis.phi(c):.6g},{bound:.6g}")
     _emit(["\n".join(lines) + "\n"], args.output)
     return 0
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping
 
 from .graph import ConflictGraph
 
 _MASK64 = (1 << 64) - 1
+MAX_ROUNDS = 10_000  # local_random_color raises RuntimeError after this many rounds
 
 
 @dataclass
@@ -56,17 +57,14 @@ def first_fit(taken: Container[int], start: int = 1) -> int:
     return c
 
 
-def greedy_color(g: ConflictGraph, order: Sequence[int] | None = None) -> dict[int, int]:
-    """First-fit coloring along the given node order (default: ascending id).
+def greedy_color(g: ConflictGraph) -> dict[int, int]:
+    """First-fit coloring in ascending node id order.
 
     Each node takes the smallest positive color unused by already-colored
     neighbors, so color(v) <= degree(v) + 1.
     """
-    nodes = sorted(g.nodes()) if order is None else list(order)
-    if sorted(nodes) != sorted(g.nodes()) or len(set(nodes)) != len(nodes):
-        raise ValueError("order must be a permutation of the graph's nodes")
     coloring: dict[int, int] = {}
-    for v in nodes:
+    for v in sorted(g.nodes()):
         coloring[v] = smallest_free_color(g, coloring, v)
     return coloring
 
@@ -86,15 +84,15 @@ def local_random_color(
     g: ConflictGraph,
     palettes: Mapping[int, Iterable[int]] | None = None,
     seed: int = 0,
-    max_rounds: int = 10_000,
 ) -> tuple[dict[int, int], RoundLog]:
     """Synchronous randomized coloring of the palette holders.
 
     Only nodes with a palette participate; properness is guaranteed among
-    them. Callers that pre-colored other neighbors must already have
-    removed the conflicting colors from the palettes. Every palette must
-    have at least (participating neighbors + 1) colors, which keeps a free
-    color available in every round and makes termination almost sure.
+    them. Palette colors are non-negative integers; by default node v gets
+    1..degree(v) + 1. Callers that pre-colored other neighbors must already
+    have removed the conflicting colors from the palettes. Every palette
+    must have at least (participating neighbors + 1) colors, which keeps a
+    free color available in every round and makes termination almost sure.
 
     Per round, every uncolored node draws uniformly from its palette minus
     the permanent colors of its neighbors and keeps the draw only if no
@@ -108,8 +106,8 @@ def local_random_color(
         if not g.has_node(v):
             raise ValueError(f"palette given for unknown node {v}")
         pal = tuple(sorted(set(colors)))
-        if pal and pal[0] < 1:
-            raise ValueError(f"colors are positive integers, got {pal[0]} for node {v}")
+        if pal and pal[0] < 0:
+            raise ValueError(f"colors are non-negative integers, got {pal[0]} for node {v}")
         palette_of[v] = pal
 
     participants = set(palette_of)
@@ -127,8 +125,8 @@ def local_random_color(
     log = RoundLog()
 
     while uncolored:
-        if log.rounds >= max_rounds:
-            raise RuntimeError(f"coloring did not terminate within {max_rounds} rounds")
+        if log.rounds >= MAX_ROUNDS:
+            raise RuntimeError(f"coloring did not terminate within {MAX_ROUNDS} rounds")
         log.rounds += 1
         draws: dict[int, int] = {}
         for v in sorted(uncolored):
@@ -137,10 +135,11 @@ def local_random_color(
                 raise RuntimeError(f"node {v} has no free color; palette precondition broken")
             draws[v] = available[_draw_index(seed, v, log.rounds, len(available))]
             log.messages += len(peers[v])
+        # draws was filled in ascending order, and finalized keeps that order.
         finalized = [
             v
-            for v in sorted(uncolored)
-            if all(draws.get(u) != draws[v] for u in peers[v])
+            for v, c in draws.items()
+            if all(draws.get(u) != c for u in peers[v])
         ]
         for v in finalized:
             coloring[v] = draws[v]

@@ -76,10 +76,11 @@ class ConflictGraph:
     def insert_edge(self, u: int, v: int) -> None:
         """Add edge (u, v), creating missing nodes. Rejects self-loops and duplicates."""
         _check_new_edge(u, v, self.has_edge(u, v))
-        self.add_node(u)
-        self.add_node(v)
+        for w in (u, v):  # both ids are checked before either node is added
+            if w < 0:
+                raise ValueError(f"node ids must be non-negative, got {w}")
         for a, b in ((u, v), (v, u)):
-            nbrs = self._adj[a]
+            nbrs = self._adj.get(a, ())
             i = bisect_left(nbrs, b)
             self._adj[a] = nbrs[:i] + (b,) + nbrs[i:]
 

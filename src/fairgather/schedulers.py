@@ -26,15 +26,9 @@ from .coloring import RoundLog, first_fit, is_proper, local_random_color, smalle
 from .graph import ConflictGraph
 
 
-def _ceil_log2(n: int) -> int:
-    """Smallest j with 2**j >= n, for n >= 1."""
-    return (n - 1).bit_length()
-
-
 class Schedule(Protocol):
     """What every schedule answers on its graph: happy(v, t) and happy_set(t)."""
 
-    algorithm: str
     graph: ConflictGraph
 
     def happy(self, v: int, t: int) -> bool: ...
@@ -44,8 +38,6 @@ class Schedule(Protocol):
 
 class PhasedSchedule:
     """Frozen replay of the phased greedy recoloring; holiday t reads happy_sets[t - 1]."""
-
-    algorithm = "phased"
 
     def __init__(self, graph: ConflictGraph, happy_sets: list[frozenset[int]]):
         self.graph = graph
@@ -90,8 +82,6 @@ class PeriodicSchedule:
     Nodes are indexed by period and offset, so happy_set(t) reads one
     bucket per distinct period: O(#distinct periods + |happy set|).
     """
-
-    algorithm = "slots"
 
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
         self.graph = graph
@@ -153,8 +143,6 @@ class EliasSchedule(PeriodicSchedule):
     of the code means at most one color can match any holiday, so happy sets
     are single color classes and independence follows from properness.
     """
-
-    algorithm = "elias"
 
     def __init__(self, graph: ConflictGraph, coloring: dict[int, int]):
         # is_proper checks that every node is colored; equal sizes rule out extras.
@@ -260,7 +248,7 @@ def degree_slots_sequential(g: ConflictGraph) -> PeriodicSchedule:
     """
     slots: dict[int, Slot] = {}
     for v in sorted(g.nodes(), key=lambda v: (-g.degree(v), v)):
-        j = _ceil_log2(g.degree(v) + 1)
+        j = g.degree(v).bit_length()  # ceil(log2(degree + 1))
         modulus = 1 << j
         x = first_fit({slots[u].offset % modulus for u in g.neighbors(v) if u in slots}, start=0)
         if x >= modulus:
@@ -275,15 +263,13 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicS
     Levels run from ceil(log2(max_degree + 1)) down to 0; in phase j the
     nodes with that level pick offsets in [0, 2**j - 1] via the randomized
     colorer, with palettes restricted to offsets that avoid, modulo 2**j,
-    everything already picked by higher-level neighbors. The palette
-    colorer speaks positive integers, so offsets are shifted by one on the
-    way in and out.
+    everything already picked by higher-level neighbors.
     """
     slots: dict[int, Slot] = {}
     log = RoundLog()
     levels: dict[int, list[int]] = {}
     for v in g.nodes():
-        levels.setdefault(_ceil_log2(g.degree(v) + 1), []).append(v)
+        levels.setdefault(g.degree(v).bit_length(), []).append(v)
     for j in range(max(levels, default=-1), -1, -1):
         members = levels.get(j)
         if not members:
@@ -292,11 +278,11 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicS
         palettes = {}
         for v in members:
             blocked = {slots[u].offset % modulus for u in g.neighbors(v) if u in slots}
-            palettes[v] = [x + 1 for x in range(modulus) if x not in blocked]
+            palettes[v] = [x for x in range(modulus) if x not in blocked]
         phase_colors, phase_log = local_random_color(g, palettes, seed=seed)
         log.merge(phase_log)
         for v, c in phase_colors.items():
-            slots[v] = Slot(offset=c - 1, level=j)
+            slots[v] = Slot(offset=c, level=j)
     return PeriodicSchedule(g.copy(), slots), log
 
 

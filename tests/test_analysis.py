@@ -49,8 +49,8 @@ def test_log_star_tower_thresholds():
 def test_elias_period_bound_examples():
     for c, expected in [(1, 2.0), (2, 8.0), (4, 64.0)]:
         b = elias_period_bound(c)
-        assert b.upper_bound == pytest.approx(expected)
-        assert 2 ** rho(c) <= b.upper_bound * (1 + 1e-9)
+        assert b == pytest.approx(expected)
+        assert 2 ** rho(c) <= b * (1 + 1e-9)
     with pytest.raises(ValueError):
         elias_period_bound(0)
 
@@ -73,7 +73,7 @@ def test_budget_check_is_exact():
 def test_period_bound_dominates_code_length_small_range():
     for c in range(1, 2049):
         b = elias_period_bound(c)
-        assert 2 ** rho(c) <= b.upper_bound * (1 + 1e-9)
+        assert 2 ** rho(c) <= b * (1 + 1e-9)
 
 
 def test_kraft_implies_budget_for_code_periods():

@@ -1,10 +1,10 @@
-import functools
+import hashlib
 import os
 from pathlib import Path
 
 import pytest
 
-import fairgather.cli as cli
+import fairgather.coloring as coloring
 from fairgather.cli import main
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
@@ -49,6 +49,25 @@ def test_bounds_max_color_below_one_exit_1(capsys, max_color):
     assert code == 1
     assert out == ""
     assert err == f"fairgather: --max-color must be at least 1, got {max_color}\n"
+
+
+def test_slots_dist_and_bounds_outputs_are_pinned(tmp_path, capsys):
+    # Digests of an earlier release's outputs: a refactor must not move a byte.
+    def output(argv, sha256):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        return out
+
+    text = output(["gen", "--kind", "gnp", "--nodes", "400", "--p", "0.02", "--seed", "4"],
+                  "44aca9c0bacc12aaf6aa0972fc4f01f46b93a2302f684ba10726841aec491c9f")
+    g = write(tmp_path, "g.txt", text)
+    output(["schedule", "--input", g, "--algorithm", "slots-dist", "--holidays", "64",
+            "--seed", "9"],
+           "00391647df545ba1e119e4179509f2f252e6d3e90b3ae12c1c9e46c3ba13aeaf")
+    output(["bounds", "--max-color", "64"],
+           "ecb43022d054f430e7adbf5ce236a7073038f35efa82d090beed25bebf3aab4d")
+
 
 def test_verify_accepts_valid_schedule(tmp_path, capsys):
     g = write(tmp_path, "tri.txt", TRIANGLE)
@@ -239,8 +258,7 @@ def test_verify_skips_indented_comment_lines(tmp_path, capsys):
 
 
 def test_coloring_round_limit_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "local_random_color",
-                        functools.partial(cli.local_random_color, max_rounds=0))
+    monkeypatch.setattr(coloring, "MAX_ROUNDS", 0)
     g = write(tmp_path, "tri.txt", TRIANGLE)
     code, out, err = run(capsys, ["color", "--input", g, "--mode", "random"])
     assert code == 1

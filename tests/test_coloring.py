@@ -6,17 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairgather.coloring import greedy_color, is_proper, local_random_color
-from fairgather.graph import ConflictGraph, complete_graph, gnp_random_graph, path_graph
+from fairgather.graph import (
+    ConflictGraph,
+    complete_graph,
+    gnp_random_graph,
+    path_graph,
+    star_graph,
+)
 
 
 def test_greedy_triangle_in_order():
     g = complete_graph(3)
-    assert greedy_color(g, [0, 1, 2]) == {0: 1, 1: 2, 2: 3}
+    assert greedy_color(g) == {0: 1, 1: 2, 2: 3}
 
 
 def test_greedy_path_in_order():
     g = path_graph(3)
-    assert greedy_color(g, [0, 1, 2]) == {0: 1, 1: 2, 2: 1}
+    assert greedy_color(g) == {0: 1, 1: 2, 2: 1}
 
 
 def test_greedy_edgeless_all_one():
@@ -24,14 +30,6 @@ def test_greedy_edgeless_all_one():
     for v in range(4):
         g.add_node(v)
     assert set(greedy_color(g).values()) == {1}
-
-
-def test_greedy_requires_permutation():
-    g = path_graph(3)
-    with pytest.raises(ValueError):
-        greedy_color(g, [0, 1])
-    with pytest.raises(ValueError):
-        greedy_color(g, [0, 1, 1])
 
 
 def test_random_k2_distinct_colors():
@@ -70,7 +68,7 @@ def test_random_rejects_small_palette_before_running():
 def test_random_rejects_bad_palette_entries():
     g = path_graph(2)
     with pytest.raises(ValueError):
-        local_random_color(g, {0: {0, 1}, 1: {1, 2}}, seed=0)
+        local_random_color(g, {0: {-1, 1}, 1: {1, 2}}, seed=0)
     with pytest.raises(ValueError):
         local_random_color(g, {7: {1}}, seed=0)
 
@@ -103,9 +101,31 @@ def test_random_coloring_proper_on_random_graphs(seed, n):
 @settings(max_examples=25)
 def test_greedy_proper_under_any_order(order):
     g = gnp_random_graph(8, 0.4, seed=5)
-    coloring = greedy_color(g, order)
+    # Relabel order[i] as i, so that ascending ids walk g's nodes in the given order.
+    h = ConflictGraph()
+    for i in range(8):
+        h.add_node(i)
+    for u, w in g.edges():
+        h.insert_edge(order.index(u), order.index(w))
+    coloring = {order[i]: c for i, c in greedy_color(h).items()}
     assert is_proper(g, coloring)
     assert all(coloring[v] <= g.degree(v) + 1 for v in g.nodes())
+
+
+@pytest.mark.parametrize("g", [gnp_random_graph(120, 0.05, seed=8), star_graph(30)],
+                         ids=["gnp", "star"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_random_coloring_ignores_palette_numbering(g, k):
+    # Shifting every palette by k shifts every draw by k and changes nothing else.
+    rng = random.Random(13)
+    dense = {v: range(g.degree(v) + 1) for v in g.nodes()}  # holds 0
+    sparse = {v: rng.sample(range(3 * g.degree(v) + 3), g.degree(v) + 1) for v in g.nodes()}
+    for palettes in (dense, sparse):
+        shifted = {v: [c + k for c in pal] for v, pal in palettes.items()}
+        coloring, log = local_random_color(g, palettes, seed=21)
+        coloring_k, log_k = local_random_color(g, shifted, seed=21)
+        assert coloring_k == {v: c + k for v, c in coloring.items()}
+        assert log_k == log
 
 
 def test_termination_within_logarithmic_rounds_sample():

@@ -70,6 +70,15 @@ def test_insert_edge_rejects_existing_and_loops():
         g.insert_edge(2, 2)
 
 
+@pytest.mark.parametrize("u, v", [(5, -1), (-1, 5)])
+def test_insert_edge_rejecting_negative_id_leaves_graph_unchanged(u, v):
+    g = path_graph(2)
+    with pytest.raises(ValueError, match="node ids must be non-negative, got -1"):
+        g.insert_edge(u, v)
+    assert g.nodes() == [0, 1]
+    assert g.edges() == [(0, 1)]
+
+
 def test_insert_edge_creates_unknown_nodes():
     g = ConflictGraph.from_edge_list("0 1\n1 2")
     g.insert_edge(3, 4)
