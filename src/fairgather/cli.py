@@ -48,32 +48,58 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
             fh.writelines(chunks)
 
 
+class _IdText(dict):
+    """Node id -> its decimal text, formatted by str() when first asked for."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
+
+
 def _schedule_csv(happy_sets: Iterable[AbstractSet[int]]) -> str:
-    """One row per happy set, holidays numbered from 1."""
+    """One row per happy set, holidays numbered from 1.
+
+    Each id is formatted once and then looked up; the table fills as ids
+    appear, since dynamic can add nodes partway through a run.
+    """
+    text = _IdText().__getitem__
     lines = ["holiday,happy"]
     for t, happy in enumerate(happy_sets, start=1):
-        lines.append(f"{t},{';'.join(map(str, sorted(happy)))}")
+        lines.append(f"{t},{';'.join(map(text, sorted(happy)))}")
     return "\n".join(lines) + "\n"
 
 
 def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, set[int]]:
-    """Holiday -> happy set; rows naming a node outside nodes are rejected."""
+    """Holiday -> happy set; rows naming a node outside nodes are rejected.
+
+    Ids are looked up in a table of the nodes' canonical spellings, so a
+    row costs one dict lookup per id; a row with any other token (empty,
+    padded, signed, zero-padded, unknown or malformed) is parsed with int()
+    and checked in full.
+    """
     rows = list(graph.data_lines(text))
     if not rows or rows[0][1] != "holiday,happy":
         raise ValueError("schedule CSV must start with header 'holiday,happy'")
+    node_of = {str(v): v for v in nodes}.get
     happy_sets: dict[int, set[int]] = {}
     for lineno, ln in rows[1:]:
-        t_str, _, ids = ln.partition(",")
+        t_str, comma, ids = ln.partition(",")
+        tokens = ids.split(";")
+        happy = set(map(node_of, tokens))
+        canonical = None not in happy  # every token is a node's canonical spelling
         try:
+            if not comma:
+                raise ValueError("no comma")
             t = int(t_str)
-            happy = set(map(int, filter(None, ids.split(";"))))
+            if not canonical:
+                happy = set(map(int, filter(None, tokens)))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed schedule row {ln!r}") from None
         if t < 1:
             raise ValueError(f"line {lineno}: holidays are numbered from 1")
         if t in happy_sets:
             raise ValueError(f"line {lineno}: duplicate holiday {t} in schedule CSV")
-        unknown = sorted(happy - nodes)
+        unknown = [] if canonical else sorted(happy - nodes)
         if unknown:
             raise ValueError(f"line {lineno}: holiday {t} lists unknown nodes {unknown[:3]}")
         happy_sets[t] = happy
@@ -118,8 +144,8 @@ def _cmd_color(args: argparse.Namespace) -> int:
     else:
         coloring, log = local_random_color(g, seed=args.seed)
         trailer = f"# rounds={log.rounds}\n"
-    lines = [f"{v} {coloring[v]}" for v in sorted(g.nodes())]
-    _emit(["\n".join(lines) + "\n" + trailer], args.output)
+    lines = [f"{v} {coloring[v]}\n" for v in sorted(g.nodes())]
+    _emit(["".join(lines) + trailer], args.output)
     return 0
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import defaultdict
 from math import inf, log1p
 from typing import Iterable, Iterator
 
@@ -37,27 +36,61 @@ class ConflictGraph:
         Each line is either "u v" (an edge), "node u" (an isolated node
         declaration), a comment starting with "#", or blank. Raises
         ValueError with the offending line number on malformed input,
-        self-loops, or duplicate edges.
+        self-loops, or duplicate edges; with several, the first in file
+        order is reported.
+
+        One pass over the split lines costs a dict lookup per token: a
+        table maps each distinct id spelling to its node, so int() runs
+        once per spelling, not once per token, and every tuple that lists
+        a node holds the same int object. Nodes are kept in order of first
+        appearance with a neighbor list each, sorted in place and frozen
+        once. A duplicate edge shows after the pass as a neighbor list with
+        repeats; only then, or when a line fails, a second walk over the
+        earlier lines names the first duplicate.
         """
-        # One set per node, frozen once: a tuple rebuilt per edge would cost O(deg).
-        adj: defaultdict[int, set[int]] = defaultdict(set)
-        for lineno, line in data_lines(text):
-            parts = line.split()
-            try:
-                if parts[0] == "node":
-                    if len(parts) != 2:
-                        raise ValueError("expected 'node u'")
-                    adj.setdefault(_parse_node(parts[1]), set())
-                elif len(parts) == 2:
-                    u, v = _parse_node(parts[0]), _parse_node(parts[1])
-                    _check_new_edge(u, v, v in adj[u])
-                    adj[u].add(v)
-                    adj[v].add(u)
-                else:
-                    raise ValueError("expected 'u v' or 'node u'")
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        return cls._from_adjacency(adj)
+        ids: dict[str, int] = {}  # each id spelling seen so far -> its node
+        adj: dict[int, list[int]] = {}
+        lineno = 0
+        try:
+            for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+                if len(parts) != 2:
+                    if parts and parts[0][0] != "#":
+                        raise ValueError("expected 'node u'" if parts[0] == "node"
+                                         else "expected 'u v' or 'node u'")
+                    continue
+                a, b = parts
+                # A new spelling is parsed and its node registered; "node b"
+                # only registers b, and leaves u None. A spelling of decimal
+                # digits needs no sign or range check.
+                u = ids.get(a)
+                if u is None and a != "node":
+                    if a[0] == "#":
+                        continue
+                    u = ids[a] = int(a) if a.isdecimal() else _parse_node(a)
+                    if u not in adj:
+                        adj[u] = []
+                v = ids.get(b)
+                if v is None:
+                    v = ids[b] = int(b) if b.isdecimal() else _parse_node(b)
+                    if v not in adj:
+                        adj[v] = []
+                if u is None:
+                    continue
+                if u == v:
+                    raise ValueError(f"self-loop at node {u}")
+                adj[u].append(v)
+                adj[v].append(u)
+        except ValueError as exc:
+            _raise_first_duplicate(text.splitlines()[:lineno - 1], ids)
+            raise ValueError(f"line {lineno}: {exc}") from None
+        for nbrs in adj.values():
+            nbrs.sort()
+        if sum(map(len, map(set, adj.values()))) != sum(map(len, adj.values())):
+            _raise_first_duplicate(text.splitlines(), ids)
+        del ids  # no longer needed: free the spellings before the tuples are made
+        g = cls()
+        g._adj = dict(zip(adj, map(tuple, adj.values())))
+        return g
 
     @classmethod
     def _from_adjacency(cls, adj: dict[int, Iterable[int]]) -> "ConflictGraph":
@@ -181,6 +214,22 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def _raise_first_duplicate(lines: list[str], ids: dict[str, int]) -> None:
+    """Raise for the first of lines that repeats an earlier line's edge, if any.
+
+    Every line must be blank, a comment, "node u" or an edge between
+    distinct nodes whose spellings ids maps: lines from_edge_list accepted.
+    """
+    seen: set[tuple[int, int]] = set()
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
+        if len(parts) == 2 and parts[0] != "node" and parts[0][0] != "#":
+            u, v = ids[parts[0]], ids[parts[1]]
+            edge = (min(u, v), max(u, v))
+            if edge in seen:
+                raise ValueError(f"line {lineno}: duplicate edge {edge}")
+            seen.add(edge)
 
 
 def _check_new_edge(u: int, v: int, present: bool) -> None:

@@ -3,9 +3,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairgather.coloring as coloring
-from fairgather.cli import main
+from fairgather.cli import _parse_schedule_csv, _schedule_csv, main
+from oracles import parse_schedule_csv
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 
@@ -219,6 +222,8 @@ def test_verify_audits_rows_past_the_window(tmp_path, capsys):
     ("0,0;1", "line 3: holidays are numbered from 1"),
     ("1,2", "line 3: duplicate holiday 1"),
     ("2,0;7", "line 3: holiday 2 lists unknown nodes [7]"),
+    ("1", "line 3: malformed schedule row '1'"),
+    ("4", "line 3: malformed schedule row '4'"),
 ])
 def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
     g = write(tmp_path, "path.txt", PATH3)
@@ -227,6 +232,48 @@ def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
     assert code == 1
     assert out == ""
     assert err.startswith(f"fairgather: {message}")
+
+
+CSV_NODES = frozenset(range(10)) | {10**6, 10**6 + 1}
+
+# Canonical ids, then padded, signed, zero-padded, empty, unknown and malformed tokens.
+csv_tokens = st.one_of(
+    st.sampled_from(sorted(map(str, CSV_NODES))),
+    st.sampled_from([" 5", "5 ", "+5", "-5", "-0", "05", "00", "", "10", "999999", "x", "5x",
+                     "1_0", "0x1", "5.0"]),
+)
+csv_rows = st.builds(
+    lambda t, ids: f"{t},{';'.join(ids)}",
+    st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["", " 2", "+3", "x"])),
+    st.lists(csv_tokens, max_size=6),
+)
+
+
+def _csv_outcome(parse, text):
+    try:
+        return parse(text, CSV_NODES)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.lists(csv_rows, max_size=8))
+@settings(max_examples=300)
+def test_parse_schedule_csv_matches_int_per_id_oracle(rows):
+    text = "holiday,happy\n" + "".join(row + "\n" for row in rows)
+    assert _csv_outcome(_parse_schedule_csv, text) == _csv_outcome(parse_schedule_csv, text)
+
+
+@given(st.lists(st.sets(st.sampled_from(sorted(CSV_NODES | {10**7, 2**40})))))
+def test_schedule_csv_matches_str_per_id(happy_sets):
+    expected = "holiday,happy\n" + "".join(f"{t},{';'.join(map(str, sorted(happy)))}\n"
+                                            for t, happy in enumerate(happy_sets, start=1))
+    assert _schedule_csv(happy_sets) == expected
+
+
+@pytest.mark.parametrize("mode, expected", [("greedy", ""), ("random", "# rounds=0\n")])
+def test_color_empty_graph_prints_only_the_trailer(tmp_path, capsys, mode, expected):
+    g = write(tmp_path, "empty.txt", "# no nodes\n")
+    assert run(capsys, ["color", "--input", g, "--mode", mode]) == (0, expected, "")
 
 
 def test_verify_accepts_empty_ids_between_separators(tmp_path, capsys):

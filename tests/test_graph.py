@@ -258,11 +258,22 @@ def test_generator_edge_counts(builder, n, expected_edges):
     assert builder(n).num_edges() == expected_edges
 
 
+# Ids spelled canonically, with a plus sign or a leading zero ("+-1" and
+# "0-1" are invalid), so one id can appear under two spellings; then a
+# letter, an underscore spelling of 10 and the Arabic-Indic digit three.
+node_tokens = st.one_of(
+    st.builds(str.format, st.sampled_from(["{}", "+{}", "0{}"]), st.integers(-2, 8)),
+    st.sampled_from(["x", "1_0", "\u0663"]),
+)
+
 edge_list_lines = st.lists(
     st.one_of(
-        st.tuples(st.just("node"), st.integers(-2, 8)),
-        st.tuples(st.integers(-2, 8), st.integers(-2, 8)),
-        st.sampled_from(["", "# comment", "  # indented comment"]),
+        st.tuples(st.just("node"), node_tokens),
+        st.tuples(node_tokens, node_tokens),
+        st.tuples(node_tokens),
+        st.tuples(node_tokens, node_tokens, node_tokens),
+        st.sampled_from(["", "# comment", "  # indented comment", "node", "node 1 2",
+                         "#x 5", "5 #x"]),
     ),
     max_size=30,
 )
@@ -277,9 +288,13 @@ def _parse_by_updates(text):
             continue
         try:
             if parts[0] == "node":
+                if len(parts) != 2:
+                    raise ValueError("expected 'node u'")
                 g.add_node(_parse_node(parts[1]))
-            else:
+            elif len(parts) == 2:
                 g.insert_edge(_parse_node(parts[0]), _parse_node(parts[1]))
+            else:
+                raise ValueError("expected 'u v' or 'node u'")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return g
@@ -296,11 +311,23 @@ def _outcome(parse, text):
 @given(edge_list_lines, st.booleans())
 @settings(max_examples=300)
 def test_from_edge_list_matches_edge_by_edge_updates(lines, indent):
-    # Self-loops, negative ids and duplicates in both orientations all occur.
+    # Self-loops, negative or invalid ids, duplicates in both orientations and
+    # under other spellings, and lines of the wrong length all occur.
     pad = "  " if indent else ""
-    text = "\n".join(pad + (" ".join(map(str, ln)) if isinstance(ln, tuple) else ln)
-                     for ln in lines)
+    text = "\n".join(pad + (" ".join(ln) if isinstance(ln, tuple) else ln) for ln in lines)
     assert _outcome(ConflictGraph.from_edge_list, text) == _outcome(_parse_by_updates, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 0\nx y", "line 2: duplicate edge (0, 1)"),
+    ("0 1\nx y\n1 0", "line 2: invalid node id 'x'"),
+    ("0 1\n1 2\n01 +0\n3 3", "line 3: duplicate edge (0, 1)"),
+    ("node 5\n5 4\n4 05\n9", "line 3: duplicate edge (4, 5)"),
+])
+def test_from_edge_list_reports_the_first_bad_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        ConflictGraph.from_edge_list(text)
+    assert str(exc.value) == message == _outcome(_parse_by_updates, text)
 
 
 def _by_updates(nodes, edges):
