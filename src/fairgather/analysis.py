@@ -16,6 +16,8 @@ from fractions import Fraction
 
 def phi(x: float) -> float:
     """Product of iterated base-2 logs: 1 for x <= 1, else x * phi(log2 x)."""
+    if not math.isfinite(x):
+        raise ValueError(f"phi is defined for finite values, got {x}")
     if x < 0:
         raise ValueError(f"phi is defined for non-negative values, got {x}")
     result = 1.0
@@ -27,6 +29,8 @@ def phi(x: float) -> float:
 
 def log_star(x: float) -> int:
     """Number of base-2 log applications needed to bring x down to <= 1."""
+    if not math.isfinite(x):
+        raise ValueError(f"log* is defined for finite values, got {x}")
     if x <= 0:
         raise ValueError(f"log* is defined for positive values, got {x}")
     count = 0

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from math import inf, log1p
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 _CHUNK = 1 << 14  # nodes per piece of edge_list_chunks' text
 
@@ -145,6 +146,12 @@ class ConflictGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending id order: the stored tuple, not a copy."""
         return self._adj[v]
+
+    def adjacency(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only live view from each node, in nodes() order, to its
+        neighbors() tuple. Its lookups run at C speed, so map() and set
+        algebra over many nodes pay no Python call per node."""
+        return MappingProxyType(self._adj)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

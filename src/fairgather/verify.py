@@ -9,10 +9,11 @@ are anchored at each node's first happy holiday: the warm-up before a node
 first hosts is bounded separately by its initial color and is not counted
 against theorem-level bounds.
 
-An audit over R rows costs O(hosting events) Python appends, O(n + m)
-C-speed mask operations on R-bit ints (one conflict mask per node) and O(R)
-C-speed work per distinct hosting pattern. Nodes with equal hosting
-patterns share one frozen NodeStats.
+An audit over R rows costs O(hosting events) Python appends, O(n) Python
+steps to group the nodes by hosting pattern, O(n + m) C-speed lookups that
+find the patterns next to each pattern, and O(R) C-speed work per distinct
+pattern and per pair of adjacent patterns: one R-bit mask OR, not one per
+edge. Nodes with equal hosting patterns share one frozen NodeStats.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, count
 from operator import or_, sub
 from typing import AbstractSet, Callable, Mapping
 
@@ -103,13 +105,17 @@ def report_from_happy_sets(
     happy-set order, then in neighbor order.
 
     One pass over the rows builds each node's hosting pattern: the tuple
-    of holidays on which it hosts. Per distinct pattern, a flag row over
-    the R row ranks gives an R-bit mask and the window's statistics, which
-    every node with that pattern shares. A node's mask ANDed with the OR
-    of its neighbors' masks holds exactly its conflicting rows, and only
-    those rows are scanned for the violating pairs. The cost is
-    O(hosting events) Python appends, O(n + m) mask operations on R-bit
-    ints and O(R) C-speed work per distinct pattern.
+    of holidays on which it hosts. An unknown node fails its lookup in
+    that pass, so the first row in holiday order that lists one is named.
+    Per distinct pattern, a flag row over the R row ranks gives an R-bit
+    mask and the window's statistics, which every node with that pattern
+    shares. Then, per distinct pattern, one C-speed pass over its members'
+    neighbor tuples collects the set of patterns next to it; its mask
+    ANDed with the OR of their masks holds exactly its members'
+    conflicting rows, and only those rows are scanned for the violating
+    pairs. The cost is O(hosting events) Python appends, O(n) Python steps,
+    O(n + m) C-speed lookups and O(R) C-speed work per distinct pattern and
+    per pair of adjacent patterns.
     """
     t0, t1 = window
     if t0 < 1 or t1 < t0:
@@ -118,39 +124,50 @@ def report_from_happy_sets(
     if missing:
         raise ValueError(f"happy sets missing holidays {missing[:3]}")
 
-    adj = {v: g.neighbors(v) for v in g.nodes()}
+    adj = g.adjacency()
     hosting: dict[int, list[int]] = {v: [] for v in adj}
     rows = sorted(happy_sets)
-    for t in rows:
-        hs = happy_sets[t]
-        if not hs <= adj.keys():
-            unknown = sorted(v for v in hs if v not in adj)
-            raise ValueError(f"holiday {t} lists unknown nodes {unknown[:3]}")
-        for u in hs:
-            hosting[u].append(t)
+    try:
+        for t in rows:
+            for u in happy_sets[t]:
+                hosting[u].append(t)
+    except KeyError:
+        unknown = sorted(v for v in happy_sets[t] if v not in adj)
+        raise ValueError(f"holiday {t} lists unknown nodes {unknown[:3]}") from None
 
     # The window's holidays all have rows, so they hold consecutive ranks.
     rank = dict(zip(rows, range(len(rows))))
     blank = bytearray(b"0") * len(rows)
     lo, hi = rank[t0], rank[t1] + 1
-    records: dict[tuple[int, ...], tuple[int, NodeStats]] = {}
+    # A pattern's id is the position of the first node that has it.
+    ids: dict[tuple[int, ...], int] = {}
+    pids = list(map(ids.setdefault, map(tuple, hosting.values()), count()))
     masks: dict[int, int] = {}
-    stats: dict[int, NodeStats] = {}
-    for v, hosts in hosting.items():
-        pattern = tuple(hosts)
-        record = records.get(pattern)
-        if record is None:
-            row = blank[:]
-            for t in pattern:
-                row[rank[t]] = 49  # b"1"
-            happy = pattern[bisect_left(pattern, t0):bisect_right(pattern, t1)]
-            record = records[pattern] = (int(row, 2), _window_stats(happy, row[lo:hi], t0, t1))
-        masks[v], stats[v] = record
+    shared: dict[int, NodeStats] = {}
+    members: dict[int, list[int]] = {}  # keyed in the same order as masks
+    for pattern, i in ids.items():
+        row = blank[:]
+        for t in pattern:
+            row[rank[t]] = 49  # b"1"
+        happy = pattern[bisect_left(pattern, t0):bisect_right(pattern, t1)]
+        masks[i] = int(row, 2)
+        shared[i] = _window_stats(happy, row[lo:hi], t0, t1)
+        members[i] = []
+    pid = dict(zip(adj, pids))
+    stats = dict(zip(adj, map(shared.__getitem__, pids)))
+    for v, i in pid.items():
+        members[i].append(v)
 
+    # AND distributes over OR: a pattern's mask ANDed with the OR of the
+    # masks of its members' neighbors holds exactly its members' conflicting
+    # rows, and each neighboring pattern's mask is ORed in once, not once
+    # per edge.
+    pid_of, nbrs_of, mask_of = pid.__getitem__, adj.__getitem__, masks.__getitem__
     clash = 0
-    for v, nbrs in adj.items():
-        if masks[v] and nbrs:
-            clash |= masks[v] & reduce(or_, map(masks.__getitem__, nbrs))
+    for mask, group in zip(masks.values(), members.values()):
+        if mask:
+            near = set(map(pid_of, chain.from_iterable(map(nbrs_of, group))))
+            clash |= mask & reduce(or_, map(mask_of, near), 0)
 
     violations: list[tuple[int, int, int]] = []
     if clash:

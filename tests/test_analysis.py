@@ -24,6 +24,15 @@ def test_phi_rejects_negative():
         phi(-1.0)
 
 
+@pytest.mark.parametrize("fn, name", [(phi, "phi"), (log_star, r"log\*")])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_are_rejected(fn, name, x):
+    # log2(inf) is inf, so the log loop would never end; nan > 1 is False,
+    # so nan would pass as phi 1.0 and log* 0.
+    with pytest.raises(ValueError, match=rf"{name} is defined for finite values, got {x}"):
+        fn(x)
+
+
 def test_phi_real_valued_recursion():
     # phi(3) = 3 * log2(3) since log2(log2(3)) drops below 1
     assert phi(3) == pytest.approx(3 * math.log2(3))

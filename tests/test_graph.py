@@ -116,6 +116,17 @@ def test_neighbors_returns_the_stored_tuple():
     assert g.neighbors(4) == ()
 
 
+def test_adjacency_is_a_live_read_only_view():
+    g = ConflictGraph.from_edge_list("5 1\n5 9\nnode 4")
+    adj = g.adjacency()
+    assert list(adj) == g.nodes() == [5, 1, 9, 4]
+    assert all(adj[v] is g.neighbors(v) for v in g.nodes())
+    with pytest.raises(TypeError):
+        adj[4] = (5,)
+    g.insert_edge(4, 5)
+    assert adj[4] == (5,) and adj[5] == (1, 4, 9)
+
+
 def test_roundtrip_serialization():
     g = ConflictGraph.from_edge_list("2 0\nnode 9\n0 1")
     text = g.to_edge_list()

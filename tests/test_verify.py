@@ -336,3 +336,120 @@ def test_nodes_sharing_a_slot_share_their_stats():
     rep = report(g, s, (1, 8))
     assert rep.nodes[0] == rep.nodes[2] != rep.nodes[1]
     assert rep.nodes[0] is rep.nodes[2]
+
+
+# ------------------------------------- conflicts between shared hosting patterns
+
+
+def _assert_matches_references(g, happy_sets, window):
+    """The report against _scan_violations and _flag_node_stats; nodes with
+    equal hosting patterns over all rows share one NodeStats object."""
+    t0, t1 = window
+    rep = report_from_happy_sets(g, happy_sets, window)
+    assert list(rep.independence_violations) == _scan_violations(g, happy_sets)
+    assert list(rep.nodes) == g.nodes()
+    shared = {}
+    for v in g.nodes():
+        flags = [v in happy_sets[t] for t in range(t0, t1 + 1)]
+        assert rep.nodes[v] == _flag_node_stats(flags, t0, t1), (window, v)
+        pattern = tuple(t for t in sorted(happy_sets) if v in happy_sets[t])
+        assert rep.nodes[v] is shared.setdefault(pattern, rep.nodes[v]), v
+    return rep
+
+
+def _slot_kind(a, b):
+    """How two slots' hosting holidays meet: "same" slot, "nested" (residues
+    equal modulo the smaller period, different slots) or "disjoint"."""
+    smaller = min(a.period, b.period)
+    if a == b:
+        return "same"
+    return "nested" if a.offset % smaller == b.offset % smaller else "disjoint"
+
+
+@pytest.mark.parametrize("algorithm", ["elias", "slots"])
+def test_planted_conflicts_between_patterns_match_references(algorithm):
+    # The schedule is proper on g; the audit runs against g plus one planted
+    # edge of each kind of slot pair, so every clash is between two patterns
+    # (or within one) that many other nodes share.
+    g = gnp_random_graph(300, 0.03, seed=17)
+    s = elias_schedule(g, greedy_color(g)) if algorithm == "elias" else degree_slots_sequential(g)
+    planted = {}
+    last = g.nodes()[::-1]  # pairs of late nodes, so that the pairs' slots have earlier holders
+    for u in last:
+        for v in last:
+            if u < v and not g.has_edge(u, v):
+                planted.setdefault(_slot_kind(s.slots[u], s.slots[v]), (u, v))
+    first_holder = {}
+    for v in g.nodes():
+        first_holder.setdefault(s.slots[v], v)
+    assert all(first_holder[s.slots[w]] != w for pair in planted.values() for w in pair)
+    # Omega codewords are prefix-free, so two omega slots never nest.
+    assert sorted(planted) == (["disjoint", "same"] if algorithm == "elias"
+                               else ["disjoint", "nested", "same"])
+    sup = g.copy()
+    for u, v in planted.values():
+        sup.insert_edge(u, v)
+    happy_sets = {t: s.happy_set(t) for t in range(1, 97)}
+    for window in ((1, 96), (9, 50)):
+        rep = _assert_matches_references(sup, happy_sets, window)
+        clashing = {(u, v) for _, u, v in rep.independence_violations}
+        assert clashing == {planted[k] for k in planted if k != "disjoint"}
+        u, v = planted["same"]
+        assert rep.nodes[u] is rep.nodes[v]
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 25),
+    st.integers(2, 4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=24),
+    st.integers(1, 24),
+    st.integers(1, 24),
+)
+@settings(max_examples=150, deadline=None)
+def test_rows_drawn_from_a_small_pool_match_references(seed, n, pool_size, picks, a, b):
+    # A few distinct rows, repeated: nodes fall into few hosting patterns,
+    # and a conflict inside a pooled row recurs on every holiday that uses it.
+    import random
+
+    rng = random.Random(seed)
+    g = gnp_random_graph(n, 0.2, seed=seed)
+    pool = [frozenset(v for v in g.nodes() if rng.random() < 0.5) for _ in range(pool_size)]
+    happy_sets = {t: pool[i % pool_size] for t, i in enumerate(picks, start=1)}
+    last = len(picks)
+    t0, t1 = sorted((min(a, last), min(b, last)))
+    _assert_matches_references(g, happy_sets, (t0, t1))
+
+
+def test_every_node_with_its_own_pattern_matches_references():
+    # Node v hosts on holiday t when bit t - 1 of v is set; its only neighbor
+    # is its complement, which never hosts with it. All 2**k patterns differ.
+    k = 7
+    full = (1 << k) - 1
+    g = ConflictGraph.from_edge_list("".join(f"{v} {full - v}\n" for v in range(1 << (k - 1))))
+    happy_sets = {t: {v for v in range(1 << k) if v >> (t - 1) & 1} for t in range(1, k + 1)}
+    rep = _assert_matches_references(g, happy_sets, (1, k))
+    assert rep.independent
+    assert len(set(map(id, rep.nodes.values()))) == 1 << k
+    g.insert_edge(3, 5)  # both host on holiday 1
+    rep = _assert_matches_references(g, happy_sets, (2, k))
+    assert rep.independence_violations == ((1, 3, 5),)
+
+
+@pytest.mark.parametrize("happy_sets, window, message", [
+    # an unknown id among known ids of one row
+    ({1: {0, 7, 1}, 2: {2}}, (1, 2), "holiday 1 lists unknown nodes [7]"),
+    # the first three unknown ids, sorted
+    ({1: {0, 13, 11, 12, 10}}, (1, 1), "holiday 1 lists unknown nodes [10, 11, 12]"),
+    # two rows with unknown ids: the earlier holiday wins, whatever the dict order
+    ({3: {5}, 2: {9, 8}, 1: {0}}, (1, 3), "holiday 2 lists unknown nodes [8, 9]"),
+    # an unknown id only in a row past the window
+    ({1: {0}, 2: {1}, 5: {6}}, (1, 2), "holiday 5 lists unknown nodes [6]"),
+    # a row with both a conflict and an unknown id raises
+    ({1: {0, 1, 4}}, (1, 1), "holiday 1 lists unknown nodes [4]"),
+])
+def test_unknown_nodes_name_the_first_row_that_lists_them(happy_sets, window, message):
+    import re
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report_from_happy_sets(path_graph(3), happy_sets, window)
