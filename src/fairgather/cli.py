@@ -39,13 +39,15 @@ def _load_graph(path: str) -> graph.ConflictGraph:
         return graph.ConflictGraph.from_edge_list(fh.read())
 
 
-def _emit(chunks: Iterable[str], output: str | None) -> None:
-    """Write the chunks in order to the output file, or to stdout if None."""
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    """Write the pieces in order, as they come, to the output file or, if
+    None, to stdout, flushed so that a closed pipe raises here."""
     if output is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+            fh.writelines(pieces)
 
 
 class _IdText(dict):
@@ -56,17 +58,16 @@ class _IdText(dict):
         return text
 
 
-def _schedule_csv(happy_sets: Iterable[AbstractSet[int]]) -> str:
-    """One row per happy set, holidays numbered from 1.
+def _schedule_csv(happy_sets: Iterable[AbstractSet[int]]) -> Iterator[str]:
+    """The header, then one row per happy set as it comes, holidays from 1.
 
     Each id is formatted once and then looked up; the table fills as ids
     appear, since dynamic can add nodes partway through a run.
     """
     text = _IdText().__getitem__
-    lines = ["holiday,happy"]
+    yield "holiday,happy\n"
     for t, happy in enumerate(happy_sets, start=1):
-        lines.append(f"{t},{';'.join(map(text, sorted(happy)))}")
-    return "\n".join(lines) + "\n"
+        yield f"{t},{';'.join(map(text, sorted(happy)))}\n"
 
 
 def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, set[int]]:
@@ -145,7 +146,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         coloring, log = local_random_color(g, seed=args.seed)
         trailer = f"# rounds={log.rounds}\n"
     lines = [f"{v} {coloring[v]}\n" for v in sorted(g.nodes())]
-    _emit(["".join(lines) + trailer], args.output)
+    _emit(lines + [trailer], args.output)
     return 0
 
 
@@ -153,29 +154,29 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     holidays = _at_least_one("--holidays", args.holidays)
     g = _load_graph(args.input)
     s = _SCHEDULES[args.algorithm](g, args)
-    _emit([_schedule_csv(s.happy_set(t) for t in range(1, holidays + 1))], args.output)
+    _emit(_schedule_csv(s.happy_set(t) for t in range(1, holidays + 1)), args.output)
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     max_color = _at_least_one("--max-color", args.max_color)
-    lines = ["color,rho,period,phi,upper_bound"]
+    lines = ["color,rho,period,phi,upper_bound\n"]
     for c in range(1, max_color + 1):
         r = codec.rho(c)
         bound = analysis.elias_period_bound(c)
-        lines.append(f"{c},{r},{1 << r},{analysis.phi(c):.6g},{bound:.6g}")
-    _emit(["\n".join(lines) + "\n"], args.output)
+        lines.append(f"{c},{r},{1 << r},{analysis.phi(c):.6g},{bound:.6g}\n")
+    _emit(lines, args.output)
     return 0
 
 
 def _cmd_satisfy(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     orientation, count = satisfaction.max_satisfaction(g)
-    lines = [f"satisfied {count}"]
+    lines = [f"satisfied {count}\n"]
     for (u, v), head in sorted(orientation.items()):
         tail = v if head == u else u
-        lines.append(f"{tail}->{head}")
-    _emit(["\n".join(lines) + "\n"], args.output)
+        lines.append(f"{tail}->{head}\n")
+    _emit(lines, args.output)
     return 0
 
 
@@ -220,7 +221,8 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             if t <= holidays:
                 yield s.happy_set(t)
 
-    _emit([_schedule_csv(replay())], args.output)
+    # Collected first: a bad event line must fail before any output is written.
+    _emit(list(_schedule_csv(replay())), args.output)
     return 0
 
 
@@ -232,16 +234,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Rows past the window feed no statistics, but a conflict in any row fails.
     rep = verify.report_from_happy_sets(g, happy_sets, (1, window))
     conflicts = rep.independence_violations
-    lines = ["node,happy_count,first_happy,mul,detected_period,max_gap"]
+    lines = ["node,happy_count,first_happy,mul,detected_period,max_gap\n"]
     for v in sorted(rep.nodes):
         st = rep.nodes[v]
         first = st.first_happy if st.first_happy is not None else ""
         gap = st.max_gap if st.max_gap is not None else ""
-        lines.append(f"{v},{len(st.happy)},{first},{st.mul},{st.detected_period},{gap}")
-    lines.append(f"# independence={'violated' if conflicts else 'ok'}")
+        lines.append(f"{v},{len(st.happy)},{first},{st.mul},{st.detected_period},{gap}\n")
+    lines.append(f"# independence={'violated' if conflicts else 'ok'}\n")
     for t, u, v in conflicts[:10]:
-        lines.append(f"# conflict holiday={t} edge={u}-{v}")
-    _emit(["\n".join(lines) + "\n"], args.output)
+        lines.append(f"# conflict holiday={t} edge={u}-{v}\n")
+    _emit(lines, args.output)
     return 1 if conflicts else 0
 
 
@@ -303,6 +305,10 @@ def main(argv: list[str] | None = None) -> int:
         if "seed" in args and args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
+    except BrokenPipeError:
+        # Stdout's reader is gone; devnull (as the Python docs advise) keeps the exit flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"fairgather: {exc}", file=sys.stderr)
         return 1

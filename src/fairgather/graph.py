@@ -9,12 +9,10 @@ algorithm iterates deterministically.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import inf, log1p
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
-
-_CHUNK = 1 << 14  # nodes per piece of edge_list_chunks' text
 
 
 class ConflictGraph:
@@ -109,7 +107,10 @@ class ConflictGraph:
 
     def insert_edge(self, u: int, v: int) -> None:
         """Add edge (u, v), creating missing nodes. Rejects self-loops and duplicates."""
-        _check_new_edge(u, v, self.has_edge(u, v))
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if self.has_edge(u, v):
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
         for w in (u, v):  # both ids are checked before either node is added
             if w < 0:
                 raise ValueError(f"node ids must be non-negative, got {w}")
@@ -199,20 +200,20 @@ class ConflictGraph:
         return "".join(self.edge_list_chunks())
 
     def edge_list_chunks(self) -> Iterator[str]:
-        """to_edge_list's text in pieces of at most _CHUNK nodes' lines, so
-        a writer never holds the whole text: first a "node v" line per
-        isolated node, then each edge once as "u w" with u < w, ascending."""
+        """to_edge_list's text one node's lines at a time, so a writer never
+        holds more than one node's text: first a "node v" line per isolated
+        node, then each edge once as "u w" with u < w, ascending. A node
+        with no higher neighbor yields no piece."""
         adj = self._adj
         order = sorted(adj)
-        starts = range(0, len(order), _CHUNK)
-        for i in starts:
-            isolated = [f"node {v}\n" for v in order[i:i + _CHUNK] if not adj[v]]
-            if isolated:
-                yield "".join(isolated)
-        for i in starts:
-            lines = [f"{u} {w}\n" for u in order[i:i + _CHUNK] for w in adj[u] if w > u]
-            if lines:
-                yield "".join(lines)
+        for v in order:
+            if not adj[v]:
+                yield f"node {v}\n"
+        for u in order:
+            nbrs = adj[u]
+            higher = nbrs[bisect_right(nbrs, u):]
+            if higher:
+                yield f"{u} " + f"\n{u} ".join(map(str, higher)) + "\n"
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -237,14 +238,6 @@ def _raise_first_duplicate(lines: list[str], ids: dict[str, int]) -> None:
             if edge in seen:
                 raise ValueError(f"line {lineno}: duplicate edge {edge}")
             seen.add(edge)
-
-
-def _check_new_edge(u: int, v: int, present: bool) -> None:
-    """Reject (u, v) as a self-loop or, if present, as a duplicate."""
-    if u == v:
-        raise ValueError(f"self-loop at node {u}")
-    if present:
-        raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
 
 
 def _parse_node(token: str) -> int:

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,7 +269,7 @@ def test_parse_schedule_csv_matches_int_per_id_oracle(rows):
 def test_schedule_csv_matches_str_per_id(happy_sets):
     expected = "holiday,happy\n" + "".join(f"{t},{';'.join(map(str, sorted(happy)))}\n"
                                             for t, happy in enumerate(happy_sets, start=1))
-    assert _schedule_csv(happy_sets) == expected
+    assert "".join(_schedule_csv(happy_sets)) == expected
 
 
 @pytest.mark.parametrize("mode, expected", [("greedy", ""), ("random", "# rounds=0\n")])
@@ -383,3 +385,34 @@ def test_dynamic_applies_events_after_last_holiday(tmp_path, capsys):
     code, out, _ = run(capsys, ["dynamic", "--input", g, "--events", late, "--holidays", "3"])
     assert (code, out) == (0, expected)
     assert len(out.splitlines()) == 4
+
+
+def test_dynamic_bad_event_leaves_no_output_file(tmp_path, capsys):
+    # Rows for holidays 1-2 exist before line 2 fails; none may reach the file.
+    g = write(tmp_path, "path.txt", PATH3)
+    events = write(tmp_path, "e.txt", "1 + 0 2\n3 - 5 7\n")
+    out = tmp_path / "out.csv"
+    code, _, err = run(capsys, ["dynamic", "--input", g, "--events", events,
+                                "--holidays", "9", "--output", str(out)])
+    assert (code, err) == (1, "fairgather: line 2: no such edge (5, 7)\n")
+    assert not out.exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "clique", "--nodes", "400"],
+    ["schedule", "--input", "path.txt", "--algorithm", "slots", "--holidays", "400"],
+])
+def test_closed_stdout_pipe_exits_1_quietly(tmp_path, argv):
+    # Each output is several times a pipe's buffer, so the writer is still
+    # writing when the reader closes after one line.
+    (tmp_path / "path.txt").write_text("".join(f"{v} {v + 1}\n" for v in range(999)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen([sys.executable, "-m", "fairgather.cli", *argv], cwd=tmp_path, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")

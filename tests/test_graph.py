@@ -2,6 +2,7 @@ import math
 import random
 import re
 import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -135,14 +136,30 @@ def test_roundtrip_serialization():
 
 
 def test_edge_list_chunks_join_to_the_canonical_text():
-    # 40,000 nodes span three chunks; about half of them are isolated.
+    # 40,000 nodes, about half of them isolated.
     g = gnp_random_graph(40_000, 0.000_02, seed=4)
     chunks = list(g.edge_list_chunks())
-    assert len(chunks) > 3 and all(c.endswith("\n") for c in chunks)
+    assert all(c.endswith("\n") for c in chunks)
+    # Each piece is one node's edges to higher ids, or isolated-node lines.
+    heads = [{ln.split()[0] for ln in c.splitlines()} for c in chunks]
+    assert all(len(h) == 1 for h in heads)
+    assert sum(h != {"node"} for h in heads) == len({u for u, _ in g.edges()})
     lines = [f"node {v}" for v in sorted(g.nodes()) if not g.degree(v)]
     lines += [f"{u} {w}" for u, w in g.edges()]
     assert "".join(chunks) == g.to_edge_list() == "\n".join(lines) + "\n"
     assert ConflictGraph().to_edge_list() == ""
+
+
+def test_edge_list_chunks_hold_one_node_at_a_time():
+    g = complete_graph(400)
+    tracemalloc.start()
+    try:
+        for _ in g.edge_list_chunks():
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_connected_components():
