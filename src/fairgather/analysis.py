@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 
 def phi(x: float) -> float:
@@ -49,6 +48,8 @@ def elias_period_bound(c: int) -> float:
 
 def budget_check(periods: list[int]) -> bool:
     """True iff the periods fit one schedule: sum of 1/period <= 1, exactly."""
+    from fractions import Fraction  # here, so that importing the CLI does not load it
+
     counts = Counter(periods)  # few distinct periods: one Fraction each keeps it fast
     for p in counts:
         if p < 1:

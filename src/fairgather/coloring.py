@@ -14,11 +14,16 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from functools import partial
+from itertools import chain, compress, filterfalse, repeat
+from operator import contains, not_
+from typing import Container, Iterable, Iterator, Mapping
 
 from .graph import ConflictGraph
 
 _MASK64 = (1 << 64) - 1
+_WORDS = struct.Struct(">QQQ")  # (seed, node, round), each masked to 64 bits
+_BLAKE8 = partial(hashlib.blake2b, digest_size=8)
 MAX_ROUNDS = 10_000  # local_random_color raises RuntimeError after this many rounds
 
 
@@ -35,21 +40,26 @@ class RoundLog:
 
 
 def is_proper(g: ConflictGraph, coloring: Mapping[int, int]) -> bool:
-    """True iff every edge has distinct endpoint colors and every node is colored."""
-    nodes = g.nodes()
-    if any(v not in coloring for v in nodes):
+    """True iff every edge has distinct endpoint colors and every node is colored.
+
+    Runs in C-level maps with no Python step per node or edge; each edge is
+    checked from both ends.
+    """
+    adj = g.adjacency()
+    if not all(map(coloring.__contains__, adj)):
         return False
-    # Each edge once, from its lower endpoint; g.edges() would sort all of them.
-    return all(coloring[u] != coloring[w] for u in nodes for w in g.neighbors(u) if u < w)
+    color = coloring.__getitem__
+    # contains(iterator of v's neighbor colors, color of v), for every node v.
+    return not any(map(contains, map(map, repeat(color), adj.values()), map(color, adj)))
 
 
 def first_fit(taken: Container[int], start: int = 1) -> int:
     """Smallest integer >= start that is not in taken.
 
     The greedy step behind first-fit colors (`smallest_free_color`,
-    `greedy_color`) and the offsets of `degree_slots_sequential`.
-    `phased_greedy` recolors whole color classes by set differences and
-    does not call it; its node-by-node test oracle does.
+    `greedy_color`). `phased_greedy` recolors whole color classes by set
+    differences and `degree_slots_sequential` scans free residues, so
+    neither calls it; their node-by-node test oracles do.
     """
     c = start
     while c in taken:
@@ -61,24 +71,36 @@ def greedy_color(g: ConflictGraph) -> dict[int, int]:
     """First-fit coloring in ascending node id order.
 
     Each node takes the smallest positive color unused by already-colored
-    neighbors, so color(v) <= degree(v) + 1.
+    neighbors, so color(v) <= degree(v) + 1. A node's neighbor colors are
+    gathered by one C-level map (None for the uncolored ones).
     """
+    adj = g.adjacency()
     coloring: dict[int, int] = {}
-    for v in sorted(g.nodes()):
-        coloring[v] = smallest_free_color(g, coloring, v)
+    color = coloring.get
+    for v in sorted(adj):
+        coloring[v] = first_fit(set(map(color, adj[v])))
     return coloring
 
 
 def smallest_free_color(g: ConflictGraph, coloring: Mapping[int, int], v: int) -> int:
     """Smallest positive color not used by any colored neighbor of v."""
-    return first_fit({coloring[u] for u in g.neighbors(v) if u in coloring})
+    return first_fit(set(map(coloring.get, g.neighbors(v))))
 
 
-def _draw_index(seed: int, node: int, round_no: int, size: int) -> int:
-    # Deterministic per-(seed, node, round) stream; independent of process state.
-    payload = struct.pack(">QQQ", seed & _MASK64, node & _MASK64, round_no & _MASK64)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "big") % size
+def _draw_indices(
+    seed: int, nodes: list[int], round_no: int, sizes: Iterable[int]
+) -> Iterator[int]:
+    """Each node's draw in [0, size) for this seed and round, in nodes order.
+
+    The draw for (seed, node, round) is the blake2b digest of the three as
+    big-endian 64-bit words, read as an integer modulo size; it does not
+    depend on process state. The hashing runs in C-level maps.
+    """
+    payloads = map(_WORDS.pack, repeat(seed & _MASK64), map(_MASK64.__and__, nodes),
+                   repeat(round_no & _MASK64))
+    digests = map(hashlib.blake2b.digest, map(_BLAKE8, payloads))
+    return map(int.__mod__, map(int.from_bytes, digests, repeat("big")), sizes)
+
 
 def local_random_color(
     g: ConflictGraph,
@@ -98,52 +120,67 @@ def local_random_color(
     the permanent colors of its neighbors and keeps the draw only if no
     uncolored neighbor drew the same value; identical draws stall both
     sides. Deterministic for a fixed seed.
+
+    Each uncolored node costs a constant number of Python steps per round.
+    The draws, the clash checks and the palette updates run in C-level
+    maps and set operations: a clash is looked for only among the nodes
+    that drew the same color, and a palette is filtered again only after
+    a neighbor has finalized a color.
     """
     if palettes is None:
         palettes = {v: range(1, g.degree(v) + 2) for v in g.nodes()}
-    palette_of: dict[int, tuple[int, ...]] = {}
+    # free[v] is v's palette minus the colors its neighbors have finalized, ascending.
+    free: dict[int, list[int]] = {}
     for v, colors in palettes.items():
         if not g.has_node(v):
             raise ValueError(f"palette given for unknown node {v}")
-        pal = tuple(sorted(set(colors)))
+        pal = sorted(set(colors))
         if pal and pal[0] < 0:
             raise ValueError(f"colors are non-negative integers, got {pal[0]} for node {v}")
-        palette_of[v] = pal
+        free[v] = pal
 
-    participants = set(palette_of)
-    peers = {v: [u for u in g.neighbors(v) if u in participants] for v in participants}
-    for v in sorted(participants):
-        if len(palette_of[v]) < len(peers[v]) + 1:
+    adj = g.adjacency()
+    peers = {v: tuple(filter(free.__contains__, adj[v])) for v in free}
+    uncolored = sorted(free)  # ascending, as every round visits them
+    for v in uncolored:
+        if len(free[v]) < len(peers[v]) + 1:
             raise ValueError(
-                f"palette of node {v} has {len(palette_of[v])} colors for "
+                f"palette of node {v} has {len(free[v])} colors for "
                 f"{len(peers[v])} participating neighbors; needs degree + 1"
             )
 
     coloring: dict[int, int] = {}
-    forbidden: dict[int, set[int]] = {v: set() for v in participants}
-    uncolored = set(participants)
     log = RoundLog()
-
     while uncolored:
         if log.rounds >= MAX_ROUNDS:
             raise RuntimeError(f"coloring did not terminate within {MAX_ROUNDS} rounds")
         log.rounds += 1
-        draws: dict[int, int] = {}
-        for v in sorted(uncolored):
-            available = [c for c in palette_of[v] if c not in forbidden[v]]
-            if not available:
-                raise RuntimeError(f"node {v} has no free color; palette precondition broken")
-            draws[v] = available[_draw_index(seed, v, log.rounds, len(available))]
-            log.messages += len(peers[v])
-        # draws was filled in ascending order, and finalized keeps that order.
-        finalized = [
-            v
-            for v, c in draws.items()
-            if all(draws.get(u) != c for u in peers[v])
-        ]
-        for v in finalized:
-            coloring[v] = draws[v]
-            uncolored.discard(v)
-            for u in peers[v]:
-                forbidden[u].add(draws[v])
+        pals = list(map(free.__getitem__, uncolored))
+        if not all(pals):
+            v = next(v for v, pal in zip(uncolored, pals) if not pal)
+            raise RuntimeError(f"node {v} has no free color; palette precondition broken")
+        picks = _draw_indices(seed, uncolored, log.rounds, map(len, pals))
+        draws = list(map(list.__getitem__, pals, picks))
+        log.messages += sum(map(len, map(peers.__getitem__, uncolored)))
+        # A node keeps its draw iff no uncolored neighbor drew the same
+        # color, so only a color with several drawers needs a check, made
+        # against one set of its drawers.
+        drawers: dict[int, list[int]] = {}
+        for v, c in zip(uncolored, draws):
+            drawers.setdefault(c, []).append(v)
+        stalled: set[int] = set()
+        for group in drawers.values():
+            if len(group) > 1:
+                drew = set(group)
+                clear = map(drew.isdisjoint, map(peers.__getitem__, group))
+                stalled.update(compress(group, map(not_, clear)))
+        kept = list(map(not_, map(stalled.__contains__, uncolored)))
+        won = list(compress(uncolored, kept))
+        coloring.update(zip(won, compress(draws, kept)))
+        uncolored = list(filter(stalled.__contains__, uncolored))
+        # The new colors leave the free palettes of their uncolored
+        # neighbors, from the next round on.
+        for u in stalled.intersection(chain.from_iterable(map(peers.__getitem__, won))):
+            taken = set(map(coloring.get, peers[u]))
+            free[u] = list(filterfalse(taken.__contains__, free[u]))
     return coloring, log

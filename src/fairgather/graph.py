@@ -211,8 +211,8 @@ class ConflictGraph:
                 yield f"node {v}\n"
         for u in order:
             nbrs = adj[u]
-            higher = nbrs[bisect_right(nbrs, u):]
-            if higher:
+            if nbrs and nbrs[-1] > u:  # checked before the bisect and the slice
+                higher = nbrs[bisect_right(nbrs, u):]
                 yield f"{u} " + f"\n{u} ".join(map(str, higher)) + "\n"
 
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Protocol
+from itertools import filterfalse
+from typing import AbstractSet, Iterable, Iterator, Protocol
 
 from . import codec
-from .coloring import RoundLog, first_fit, is_proper, local_random_color, smallest_free_color
+from .coloring import RoundLog, is_proper, local_random_color, smallest_free_color
 from .graph import ConflictGraph
 
 
@@ -86,9 +87,16 @@ class PeriodicSchedule:
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
         self.graph = graph
         self.slots = slots
-        self._buckets: dict[int, dict[int, list[int]]] = {}
+        # The slot builders share one Slot object per (offset, level), so the
+        # nodes are grouped per object and the buckets filled per group;
+        # equal Slot objects that are not shared still fill one bucket.
+        groups: dict[int, list[int]] = {}
         for v, slot in slots.items():
-            self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, []).append(v)
+            groups.setdefault(id(slot), []).append(v)
+        self._buckets: dict[int, dict[int, list[int]]] = {}
+        for members in groups.values():
+            slot = slots[members[0]]
+            self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, []).extend(members)
 
     def _with(self, graph: ConflictGraph, changed: dict[int, Slot]) -> PeriodicSchedule:
         """A schedule on graph whose slots are self's updated by changed.
@@ -150,7 +158,8 @@ class EliasSchedule(PeriodicSchedule):
             raise ValueError("coloring must be proper and color exactly the graph's nodes")
         self.coloring = dict(coloring)
         slot_of = {c: _omega_slot(c) for c in set(self.coloring.values())}
-        super().__init__(graph, {v: slot_of[c] for v, c in self.coloring.items()})
+        slots = dict(zip(self.coloring, map(slot_of.__getitem__, self.coloring.values())))
+        super().__init__(graph, slots)
 
     def _recolored(
         self, graph: ConflictGraph, coloring: dict[int, int], touched: tuple[int, ...]
@@ -238,6 +247,22 @@ def elias_schedule(g: ConflictGraph, coloring: dict[int, int]) -> EliasSchedule:
     return EliasSchedule(g.copy(), coloring)
 
 
+def free_residues(taken: Iterable[int | None], modulus: int) -> Iterator[int]:
+    """The residues in [0, modulus) that are not in taken, ascending, lazily.
+
+    taken holds the placed neighbors' offsets reduced modulo modulus: a
+    neighbor whose period is a multiple of modulus takes the one residue
+    its offset has. Values outside [0, modulus), such as None for a
+    neighbor not placed yet, take nothing. taken is read before returning.
+    """
+    return filterfalse(set(taken).__contains__, range(modulus))
+
+
+def _reduced(residue: dict[int, int], modulus: int) -> dict[int, int]:
+    """residue with every value reduced modulo modulus, a power of two."""
+    return dict(zip(residue, map((modulus - 1).__and__, residue.values())))
+
+
 def degree_slots_sequential(g: ConflictGraph) -> PeriodicSchedule:
     """Assign slots greedily in decreasing degree order (ties: ascending id).
 
@@ -245,15 +270,33 @@ def degree_slots_sequential(g: ConflictGraph) -> PeriodicSchedule:
     in [0, 2**j - 1] that no already-assigned neighbor occupies modulo
     2**j. The range always holds a free offset: v has at most degree
     assigned neighbors and 2**j >= degree + 1.
+
+    Levels only fall along this order, so every assigned neighbor's period
+    is a multiple of 2**j, and the assigned offsets are reduced modulo 2**j
+    once per level. Each node then costs a constant number of Python steps,
+    and its neighbors are read in C-level maps.
     """
+    adj = g.adjacency()
+    degree = dict(zip(adj, map(len, adj.values())))
+    residue: dict[int, int] = {}  # assigned node -> offset mod the current 2**j
+    modulus = 0
     slots: dict[int, Slot] = {}
-    for v in sorted(g.nodes(), key=lambda v: (-g.degree(v), v)):
-        j = g.degree(v).bit_length()  # ceil(log2(degree + 1))
-        modulus = 1 << j
-        x = first_fit({slots[u].offset % modulus for u in g.neighbors(v) if u in slots}, start=0)
-        if x >= modulus:
+    made: dict[int, Slot] = {}  # this level's Slot per offset, shared by its nodes
+    # A stable sort by descending degree keeps the ascending ids of equal degrees.
+    for v in sorted(sorted(adj), key=degree.__getitem__, reverse=True):
+        j = degree[v].bit_length()  # ceil(log2(degree + 1))
+        if modulus != 1 << j:
+            modulus = 1 << j
+            residue = _reduced(residue, modulus)
+            made = {}
+        x = next(free_residues(map(residue.get, adj[v]), modulus), None)
+        if x is None:
             raise AssertionError(f"no free offset for node {v}; assignment order is broken")
-        slots[v] = Slot(offset=x, level=j)
+        residue[v] = x
+        slot = made.get(x)
+        if slot is None:
+            slot = made[x] = Slot(offset=x, level=j)
+        slots[v] = slot
     return PeriodicSchedule(g.copy(), slots)
 
 
@@ -263,26 +306,30 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicS
     Levels run from ceil(log2(max_degree + 1)) down to 0; in phase j the
     nodes with that level pick offsets in [0, 2**j - 1] via the randomized
     colorer, with palettes restricted to offsets that avoid, modulo 2**j,
-    everything already picked by higher-level neighbors.
+    everything already picked by higher-level neighbors. The picked offsets
+    are reduced modulo 2**j once per phase, so outside the colorer each node
+    costs a constant number of Python steps, and its neighbors are read in
+    C-level maps.
     """
+    adj = g.adjacency()
     slots: dict[int, Slot] = {}
+    residue: dict[int, int] = {}  # node of a higher level -> offset mod 2**j
     log = RoundLog()
     levels: dict[int, list[int]] = {}
-    for v in g.nodes():
-        levels.setdefault(g.degree(v).bit_length(), []).append(v)
+    for v, nbrs in adj.items():
+        levels.setdefault(len(nbrs).bit_length(), []).append(v)
     for j in range(max(levels, default=-1), -1, -1):
         members = levels.get(j)
         if not members:
             continue
         modulus = 1 << j
-        palettes = {}
-        for v in members:
-            blocked = {slots[u].offset % modulus for u in g.neighbors(v) if u in slots}
-            palettes[v] = [x for x in range(modulus) if x not in blocked]
+        residue = _reduced(residue, modulus)
+        palettes = {v: free_residues(map(residue.get, adj[v]), modulus) for v in members}
         phase_colors, phase_log = local_random_color(g, palettes, seed=seed)
         log.merge(phase_log)
-        for v, c in phase_colors.items():
-            slots[v] = Slot(offset=c, level=j)
+        made = {x: Slot(offset=x, level=j) for x in set(phase_colors.values())}
+        slots.update(zip(phase_colors, map(made.__getitem__, phase_colors.values())))
+        residue.update(phase_colors)
     return PeriodicSchedule(g.copy(), slots), log
 
 

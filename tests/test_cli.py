@@ -70,6 +70,10 @@ def test_slots_dist_and_bounds_outputs_are_pinned(tmp_path, capsys):
     output(["schedule", "--input", g, "--algorithm", "slots-dist", "--holidays", "64",
             "--seed", "9"],
            "00391647df545ba1e119e4179509f2f252e6d3e90b3ae12c1c9e46c3ba13aeaf")
+    output(["color", "--input", g, "--mode", "random", "--seed", "9"],
+           "d983358bbf9f1efddef7f1334c1f4db73e186c032743523677bcb8276a5d6b82")
+    output(["schedule", "--input", g, "--algorithm", "slots", "--holidays", "64"],
+           "d7e3906af58496bc074dd8c87c1ce1cbb7ce0f4a37ff087251fd3e0ebfbde36b")
     output(["bounds", "--max-color", "64"],
            "ecb43022d054f430e7adbf5ce236a7073038f35efa82d090beed25bebf3aab4d")
 
@@ -416,3 +420,13 @@ def test_closed_stdout_pipe_exits_1_quietly(tmp_path, argv):
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_cli_import_does_not_load_fractions():
+    # Only analysis.budget_check needs fractions; every CLI call would pay
+    # for its import otherwise. -S keeps site-packages from loading it first.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, fairgather.cli; print('fractions' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
