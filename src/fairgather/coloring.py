@@ -22,8 +22,6 @@ from typing import Container, Iterable, Iterator, Mapping
 from .graph import ConflictGraph
 
 _MASK64 = (1 << 64) - 1
-_WORDS = struct.Struct(">QQQ")  # (seed, node, round), each masked to 64 bits
-_BLAKE8 = partial(hashlib.blake2b, digest_size=8)
 MAX_ROUNDS = 10_000  # local_random_color raises RuntimeError after this many rounds
 
 
@@ -96,9 +94,10 @@ def _draw_indices(
     big-endian 64-bit words, read as an integer modulo size; it does not
     depend on process state. The hashing runs in C-level maps.
     """
-    payloads = map(_WORDS.pack, repeat(seed & _MASK64), map(_MASK64.__and__, nodes),
-                   repeat(round_no & _MASK64))
-    digests = map(hashlib.blake2b.digest, map(_BLAKE8, payloads))
+    words = map(_MASK64.__and__, nodes)
+    payloads = map(struct.Struct(">QQQ").pack,
+                   repeat(seed & _MASK64), words, repeat(round_no & _MASK64))
+    digests = map(hashlib.blake2b.digest, map(partial(hashlib.blake2b, digest_size=8), payloads))
     return map(int.__mod__, map(int.from_bytes, digests, repeat("big")), sizes)
 
 

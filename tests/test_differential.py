@@ -51,9 +51,10 @@ def _graph(rng: random.Random, n: int) -> ConflictGraph:
     return ConflictGraph.from_edge_list("".join(lines))
 
 
-def _palettes(rng: random.Random, g: ConflictGraph, fault: str) -> dict:
+def _palettes(rng: random.Random, g: ConflictGraph, fault: str) -> tuple[dict, bool]:
     """Palettes for a random subset of g's nodes: gaps, duplicates and maybe
-    color 0, in varied container types; fault breaks one of them."""
+    color 0, in varied container types; fault breaks one of them. Also
+    says whether one was broken (a node-level fault needs a holder)."""
     nodes = g.nodes()
     holders = [v for v in nodes if rng.random() < 0.8] if rng.random() < 0.5 else nodes
     chosen = set(holders)
@@ -74,7 +75,9 @@ def _palettes(rng: random.Random, g: ConflictGraph, fault: str) -> dict:
         items = list(palettes.items())
         items.insert(rng.randrange(len(items) + 1), (max(nodes, default=0) + 1, [1]))
         palettes = dict(items)
-    return palettes
+    else:
+        return palettes, False
+    return palettes, True
 
 
 def _outcome(colorer, g, palettes, seed):
@@ -91,11 +94,10 @@ def _outcome(colorer, g, palettes, seed):
 def test_random_coloring_matches_round_by_round_reference(case, n, seed, fault):
     rng = random.Random(case)
     g = _graph(rng, n)
-    palettes = None if fault == "default" else _palettes(rng, g, fault)
+    palettes, broken = (None, False) if fault == "default" else _palettes(rng, g, fault)
     fast = _outcome(local_random_color, g, palettes, seed)
     assert fast == _outcome(local_random_color_rounds, g, palettes, seed)
-    if fault in ("small", "negative", "unknown") and (fault == "unknown" or len(g)):
-        assert fast[0] is ValueError
+    assert (fast[0] is ValueError) == broken
 
 
 @given(st.integers(0, 10**6), st.integers(0, 40), st.integers(-2**70, 2**70))
