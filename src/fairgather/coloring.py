@@ -120,11 +120,12 @@ def local_random_color(
     uncolored neighbor drew the same value; identical draws stall both
     sides. Deterministic for a fixed seed.
 
-    Each uncolored node costs a constant number of Python steps per round.
-    The draws, the clash checks and the palette updates run in C-level
-    maps and set operations: a clash is looked for only among the nodes
-    that drew the same color, and a palette is filtered again only after
-    a neighbor has finalized a color.
+    Each uncolored node costs a constant number of Python steps per round:
+    the draws and the clash checks run in C-level maps and set operations,
+    and a clash is looked for only among the nodes that drew the same
+    color. A finalized color leaves the palettes of the still uncolored
+    neighbors, found per color by a C-level set intersection; that is one
+    Python step per such neighbor, at most one per edge over the run.
     """
     if palettes is None:
         palettes = {v: range(1, g.degree(v) + 2) for v in g.nodes()}
@@ -140,14 +141,26 @@ def local_random_color(
 
     adj = g.adjacency()
     peers = {v: tuple(filter(free.__contains__, adj[v])) for v in free}
-    uncolored = sorted(free)  # ascending, as every round visits them
-    for v in uncolored:
+    for v in sorted(free):
         if len(free[v]) < len(peers[v]) + 1:
             raise ValueError(
                 f"palette of node {v} has {len(free[v])} colors for "
                 f"{len(peers[v])} participating neighbors; needs degree + 1"
             )
+    return _color_rounds(free, peers, seed)
 
+
+def _color_rounds(
+    free: dict[int, list[int]], peers: Mapping[int, tuple[int, ...]], seed: int
+) -> tuple[dict[int, int], RoundLog]:
+    """The rounds of local_random_color, on palettes that pass its checks.
+
+    free[v] is node v's palette, ascending and without repeats, with more
+    colors than v has participating neighbors, peers[v]. The lists shrink
+    in place as neighbors finalize colors. degree_slots_distributed calls
+    this directly: its palettes pass the checks by construction.
+    """
+    uncolored = sorted(free)  # ascending, as every round visits them
     coloring: dict[int, int] = {}
     log = RoundLog()
     while uncolored:
@@ -174,12 +187,14 @@ def local_random_color(
                 clear = map(drew.isdisjoint, map(peers.__getitem__, group))
                 stalled.update(compress(group, map(not_, clear)))
         kept = list(map(not_, map(stalled.__contains__, uncolored)))
-        won = list(compress(uncolored, kept))
-        coloring.update(zip(won, compress(draws, kept)))
+        coloring.update(zip(compress(uncolored, kept), compress(draws, kept)))
         uncolored = list(filter(stalled.__contains__, uncolored))
-        # The new colors leave the free palettes of their uncolored
+        # Each new color leaves the free palettes of its winners' uncolored
         # neighbors, from the next round on.
-        for u in stalled.intersection(chain.from_iterable(map(peers.__getitem__, won))):
-            taken = set(map(coloring.get, peers[u]))
-            free[u] = list(filterfalse(taken.__contains__, free[u]))
+        for c, group in drawers.items():
+            winners = filterfalse(stalled.__contains__, group)
+            for u in stalled.intersection(chain.from_iterable(map(peers.__getitem__, winners))):
+                pal = free[u]
+                if c in pal:
+                    pal.remove(c)
     return coloring, log

@@ -23,7 +23,7 @@ from itertools import filterfalse
 from typing import AbstractSet, Iterable, Iterator, Protocol
 
 from . import codec
-from .coloring import RoundLog, is_proper, local_random_color, smallest_free_color
+from .coloring import RoundLog, _color_rounds, is_proper, smallest_free_color
 from .graph import ConflictGraph
 
 
@@ -324,8 +324,13 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicS
             continue
         modulus = 1 << j
         residue = _reduced(residue, modulus)
-        palettes = {v: free_residues(map(residue.get, adj[v]), modulus) for v in members}
-        phase_colors, phase_log = local_random_color(g, palettes, seed=seed)
+        # These palettes pass local_random_color's checks by construction:
+        # each is ascending and keeps at least 2**j - (higher-level
+        # neighbors) >= 1 + (same-level neighbors) offsets.
+        free = {v: list(free_residues(map(residue.get, adj[v]), modulus)) for v in members}
+        level = set(members)
+        peers = {v: tuple(filter(level.__contains__, adj[v])) for v in members}
+        phase_colors, phase_log = _color_rounds(free, peers, seed)
         log.merge(phase_log)
         made = {x: Slot(offset=x, level=j) for x in set(phase_colors.values())}
         slots.update(zip(phase_colors, map(made.__getitem__, phase_colors.values())))
