@@ -1,12 +1,14 @@
 """Proper colorings of the conflict graph.
 
 Two colorers: a sequential greedy pass, and a synchronous-round randomized
-colorer with per-node palette restriction. The randomized colorer is the
-classic symmetric process (draw a free color, keep it if no uncolored
-neighbor drew the same one this round) and preserves the two properties the
-schedulers need: properness, and color(v) <= degree(v) + 1 under default
-palettes. It makes no claim to any particular round-complexity bound; the
-RoundLog records what the simulation actually used.
+colorer. The randomized colorer is the classic symmetric process (draw a
+free color, keep it if no uncolored neighbor drew the same one this round)
+and preserves the two properties the schedulers need: properness, and
+color(v) <= degree(v) + 1 in local_random_color. Its rounds, _color_rounds,
+also take per-node restricted palettes, which the distributed slot builder
+hands in one level at a time. It makes no claim to any particular
+round-complexity bound; the RoundLog records what the simulation actually
+used.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Container, Iterable, Iterator, Mapping
 from .graph import ConflictGraph
 
 _MASK64 = (1 << 64) - 1
-MAX_ROUNDS = 10_000  # local_random_color raises RuntimeError after this many rounds
+MAX_ROUNDS = 10_000  # _color_rounds raises RuntimeError after this many rounds
 
 
 @dataclass
@@ -56,8 +58,9 @@ def first_fit(taken: Container[int], start: int = 1) -> int:
 
     The greedy step behind first-fit colors (`smallest_free_color`,
     `greedy_color`). `phased_greedy` recolors whole color classes by set
-    differences and `degree_slots_sequential` scans free residues, so
-    neither calls it; their node-by-node test oracles do.
+    differences and `degree_slots_sequential` takes the first of
+    `free_residues`, so neither calls it; their node-by-node test oracles
+    do.
     """
     c = start
     while c in taken:
@@ -101,24 +104,34 @@ def _draw_indices(
     return map(int.__mod__, map(int.from_bytes, digests, repeat("big")), sizes)
 
 
-def local_random_color(
-    g: ConflictGraph,
-    palettes: Mapping[int, Iterable[int]] | None = None,
-    seed: int = 0,
-) -> tuple[dict[int, int], RoundLog]:
-    """Synchronous randomized coloring of the palette holders.
-
-    Only nodes with a palette participate; properness is guaranteed among
-    them. Palette colors are non-negative integers; by default node v gets
-    1..degree(v) + 1. Callers that pre-colored other neighbors must already
-    have removed the conflicting colors from the palettes. Every palette
-    must have at least (participating neighbors + 1) colors, which keeps a
-    free color available in every round and makes termination almost sure.
+def local_random_color(g: ConflictGraph, seed: int = 0) -> tuple[dict[int, int], RoundLog]:
+    """Synchronous randomized coloring in which node v draws from 1..degree(v) + 1.
 
     Per round, every uncolored node draws uniformly from its palette minus
     the permanent colors of its neighbors and keeps the draw only if no
     uncolored neighbor drew the same value; identical draws stall both
-    sides. Deterministic for a fixed seed.
+    sides. Deterministic for a fixed seed. The rounds are `_color_rounds`,
+    with every node participating.
+    """
+    adj = g.adjacency()
+    free = {v: list(range(1, len(nbrs) + 2)) for v, nbrs in adj.items()}
+    return _color_rounds(free, adj, seed)
+
+
+def _color_rounds(
+    free: dict[int, list[int]], peers: Mapping[int, tuple[int, ...]], seed: int
+) -> tuple[dict[int, int], RoundLog]:
+    """The randomized colorer on restricted palettes: the nodes of free participate.
+
+    free[v] is node v's palette: non-negative colors, ascending and without
+    repeats. peers[v] is v's participating neighbors. Callers that
+    pre-colored other neighbors must already have removed the conflicting
+    colors. Every palette must have more colors than v has peers, which
+    keeps a free color available in every round and makes termination
+    almost sure; a palette that runs out raises RuntimeError, and so does
+    a run past MAX_ROUNDS. The lists shrink in place as neighbors finalize
+    colors. local_random_color passes the default palettes and
+    degree_slots_distributed the free offsets of one level.
 
     Each uncolored node costs a constant number of Python steps per round:
     the draws and the clash checks run in C-level maps and set operations,
@@ -126,39 +139,6 @@ def local_random_color(
     color. A finalized color leaves the palettes of the still uncolored
     neighbors, found per color by a C-level set intersection; that is one
     Python step per such neighbor, at most one per edge over the run.
-    """
-    if palettes is None:
-        palettes = {v: range(1, g.degree(v) + 2) for v in g.nodes()}
-    # free[v] is v's palette minus the colors its neighbors have finalized, ascending.
-    free: dict[int, list[int]] = {}
-    for v, colors in palettes.items():
-        if not g.has_node(v):
-            raise ValueError(f"palette given for unknown node {v}")
-        pal = sorted(set(colors))
-        if pal and pal[0] < 0:
-            raise ValueError(f"colors are non-negative integers, got {pal[0]} for node {v}")
-        free[v] = pal
-
-    adj = g.adjacency()
-    peers = {v: tuple(filter(free.__contains__, adj[v])) for v in free}
-    for v in sorted(free):
-        if len(free[v]) < len(peers[v]) + 1:
-            raise ValueError(
-                f"palette of node {v} has {len(free[v])} colors for "
-                f"{len(peers[v])} participating neighbors; needs degree + 1"
-            )
-    return _color_rounds(free, peers, seed)
-
-
-def _color_rounds(
-    free: dict[int, list[int]], peers: Mapping[int, tuple[int, ...]], seed: int
-) -> tuple[dict[int, int], RoundLog]:
-    """The rounds of local_random_color, on palettes that pass its checks.
-
-    free[v] is node v's palette, ascending and without repeats, with more
-    colors than v has participating neighbors, peers[v]. The lists shrink
-    in place as neighbors finalize colors. degree_slots_distributed calls
-    this directly: its palettes pass the checks by construction.
     """
     uncolored = sorted(free)  # ascending, as every round visits them
     coloring: dict[int, int] = {}

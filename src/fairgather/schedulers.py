@@ -7,7 +7,7 @@ Three ways to decide who is happy (hosts all their children) on holiday t:
 * omega-code color schedule — node with color c is happy exactly every
   2**rho(c) holidays, where rho is the omega codeword length;
 * degree-bound slots — node picks an offset x and level j and is happy
-  when t = x (mod 2**j), with 2**j <= 2 * degree.
+  when t = x (mod 2**j), with 2**j <= 2 * max(degree, 1).
 
 Holidays are numbered from t = 1. Every schedule answers happy(v, t) and
 guarantees the happy set is an independent set of its graph. Schedules are
@@ -20,7 +20,7 @@ import copy
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import AbstractSet, Iterable, Iterator, Protocol
+from typing import AbstractSet, Callable, Iterable, Iterator, Protocol
 
 from . import codec
 from .coloring import RoundLog, _color_rounds, is_proper, smallest_free_color
@@ -87,9 +87,10 @@ class PeriodicSchedule:
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
         self.graph = graph
         self.slots = slots
-        # The slot builders share one Slot object per (offset, level), so the
-        # nodes are grouped per object and the buckets filled per group;
-        # equal Slot objects that are not shared still fill one bucket.
+        # _level_slots, behind both degree-bound builders, and EliasSchedule
+        # share one Slot object per (offset, level), so the nodes are grouped
+        # per object and the buckets filled per group; equal Slot objects
+        # that are not shared still fill one bucket.
         groups: dict[int, list[int]] = {}
         for v, slot in slots.items():
             groups.setdefault(id(slot), []).append(v)
@@ -258,9 +259,33 @@ def free_residues(taken: Iterable[int | None], modulus: int) -> Iterator[int]:
     return filterfalse(set(taken).__contains__, range(modulus))
 
 
-def _reduced(residue: dict[int, int], modulus: int) -> dict[int, int]:
-    """residue with every value reduced modulo modulus, a power of two."""
-    return dict(zip(residue, map((modulus - 1).__and__, residue.values())))
+def _level_slots(
+    g: ConflictGraph, place: Callable[[list[int], dict[int, int], int], dict[int, int]]
+) -> PeriodicSchedule:
+    """The slot schedule that place builds one level at a time.
+
+    Node v's level is j = ceil(log2(degree + 1)), so 2**j >= degree + 1.
+    The levels run from high to low, and place(members, residue, 2**j)
+    returns the offsets of the level's members, in [0, 2**j), in the order
+    their slots are recorded. residue holds every node of a higher level
+    with its offset reduced modulo 2**j once per level: a placed neighbor's
+    period is a multiple of 2**j, so it blocks exactly that residue. place
+    may add its own members to residue as it goes. The nodes of one
+    (offset, level) share one Slot object.
+    """
+    levels: dict[int, list[int]] = {}
+    for v, nbrs in g.adjacency().items():
+        levels.setdefault(len(nbrs).bit_length(), []).append(v)
+    slots: dict[int, Slot] = {}
+    residue: dict[int, int] = {}  # node of a higher level -> offset mod 2**j
+    for j in sorted(levels, reverse=True):
+        modulus = 1 << j
+        residue = dict(zip(residue, map((modulus - 1).__and__, residue.values())))
+        offsets = place(levels[j], residue, modulus)
+        made = {x: Slot(offset=x, level=j) for x in set(offsets.values())}
+        slots.update(zip(offsets, map(made.__getitem__, offsets.values())))
+        residue.update(offsets)
+    return PeriodicSchedule(g.copy(), slots)
 
 
 def degree_slots_sequential(g: ConflictGraph) -> PeriodicSchedule:
@@ -271,33 +296,24 @@ def degree_slots_sequential(g: ConflictGraph) -> PeriodicSchedule:
     2**j. The range always holds a free offset: v has at most degree
     assigned neighbors and 2**j >= degree + 1.
 
-    Levels only fall along this order, so every assigned neighbor's period
-    is a multiple of 2**j, and the assigned offsets are reduced modulo 2**j
-    once per level. Each node then costs a constant number of Python steps,
-    and its neighbors are read in C-level maps.
+    Levels only fall along this order, so each level is placed in turn by
+    `_level_slots`. Each node costs a constant number of Python steps, and
+    its neighbors are read in C-level maps.
     """
     adj = g.adjacency()
     degree = dict(zip(adj, map(len, adj.values())))
-    residue: dict[int, int] = {}  # assigned node -> offset mod the current 2**j
-    modulus = 0
-    slots: dict[int, Slot] = {}
-    made: dict[int, Slot] = {}  # this level's Slot per offset, shared by its nodes
-    # A stable sort by descending degree keeps the ascending ids of equal degrees.
-    for v in sorted(sorted(adj), key=degree.__getitem__, reverse=True):
-        j = degree[v].bit_length()  # ceil(log2(degree + 1))
-        if modulus != 1 << j:
-            modulus = 1 << j
-            residue = _reduced(residue, modulus)
-            made = {}
-        x = next(free_residues(map(residue.get, adj[v]), modulus), None)
-        if x is None:
-            raise AssertionError(f"no free offset for node {v}; assignment order is broken")
-        residue[v] = x
-        slot = made.get(x)
-        if slot is None:
-            slot = made[x] = Slot(offset=x, level=j)
-        slots[v] = slot
-    return PeriodicSchedule(g.copy(), slots)
+
+    def fit_level(members: list[int], residue: dict[int, int], modulus: int) -> dict[int, int]:
+        placed: dict[int, int] = {}
+        # A stable sort by descending degree keeps the ascending ids of equal degrees.
+        for v in sorted(sorted(members), key=degree.__getitem__, reverse=True):
+            x = next(free_residues(map(residue.get, adj[v]), modulus), None)
+            if x is None:
+                raise AssertionError(f"no free offset for node {v}; assignment order is broken")
+            residue[v] = placed[v] = x  # later nodes of the level see v
+        return placed
+
+    return _level_slots(g, fit_level)
 
 
 def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicSchedule, RoundLog]:
@@ -306,36 +322,24 @@ def degree_slots_distributed(g: ConflictGraph, seed: int = 0) -> tuple[PeriodicS
     Levels run from ceil(log2(max_degree + 1)) down to 0; in phase j the
     nodes with that level pick offsets in [0, 2**j - 1] via the randomized
     colorer, with palettes restricted to offsets that avoid, modulo 2**j,
-    everything already picked by higher-level neighbors. The picked offsets
-    are reduced modulo 2**j once per phase, so outside the colorer each node
-    costs a constant number of Python steps, and its neighbors are read in
-    C-level maps.
+    everything already picked by higher-level neighbors. Outside the
+    colorer each node costs a constant number of Python steps, and its
+    neighbors are read in C-level maps.
     """
     adj = g.adjacency()
-    slots: dict[int, Slot] = {}
-    residue: dict[int, int] = {}  # node of a higher level -> offset mod 2**j
     log = RoundLog()
-    levels: dict[int, list[int]] = {}
-    for v, nbrs in adj.items():
-        levels.setdefault(len(nbrs).bit_length(), []).append(v)
-    for j in range(max(levels, default=-1), -1, -1):
-        members = levels.get(j)
-        if not members:
-            continue
-        modulus = 1 << j
-        residue = _reduced(residue, modulus)
-        # These palettes pass local_random_color's checks by construction:
-        # each is ascending and keeps at least 2**j - (higher-level
-        # neighbors) >= 1 + (same-level neighbors) offsets.
+
+    def color_level(members: list[int], residue: dict[int, int], modulus: int) -> dict[int, int]:
+        # Each palette is ascending and keeps at least 2**j - (higher-level
+        # neighbors) >= 1 + (same-level neighbors) offsets, as the colorer needs.
         free = {v: list(free_residues(map(residue.get, adj[v]), modulus)) for v in members}
         level = set(members)
         peers = {v: tuple(filter(level.__contains__, adj[v])) for v in members}
-        phase_colors, phase_log = _color_rounds(free, peers, seed)
+        offsets, phase_log = _color_rounds(free, peers, seed)
         log.merge(phase_log)
-        made = {x: Slot(offset=x, level=j) for x in set(phase_colors.values())}
-        slots.update(zip(phase_colors, map(made.__getitem__, phase_colors.values())))
-        residue.update(phase_colors)
-    return PeriodicSchedule(g.copy(), slots), log
+        return offsets
+
+    return _level_slots(g, color_level), log
 
 
 def periodic_conflicts(s: PeriodicSchedule) -> list[tuple[int, int]]:

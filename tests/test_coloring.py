@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairgather.coloring import greedy_color, is_proper, local_random_color
+from fairgather.coloring import _color_rounds, greedy_color, is_proper, local_random_color
 from fairgather.graph import (
     ConflictGraph,
     complete_graph,
@@ -35,7 +35,7 @@ def test_greedy_edgeless_all_one():
 def test_random_k2_distinct_colors():
     g = path_graph(2)
     for seed in range(10):
-        coloring, _ = local_random_color(g, {0: {1, 2}, 1: {1, 2}}, seed=seed)
+        coloring, _ = local_random_color(g, seed=seed)
         assert sorted(coloring.values()) in ([1, 2],)
 
 
@@ -43,39 +43,26 @@ def test_random_edgeless_single_color_one_round():
     g = ConflictGraph()
     for v in range(5):
         g.add_node(v)
-    coloring, log = local_random_color(g, {v: {1} for v in range(5)}, seed=3)
+    coloring, log = local_random_color(g, seed=3)
     assert set(coloring.values()) == {1}
     assert log.rounds == 1
 
 
 def test_random_triangle_seed_42_is_deterministic_and_proper():
     g = complete_graph(3)
-    palettes = {v: {1, 2, 3} for v in range(3)}
-    first, log1 = local_random_color(g, palettes, seed=42)
-    again, log2 = local_random_color(g, palettes, seed=42)
+    first, log1 = local_random_color(g, seed=42)
+    again, log2 = local_random_color(g, seed=42)
     assert first == again
     assert (log1.rounds, log1.messages) == (log2.rounds, log2.messages)
     assert is_proper(g, first)
     assert sorted(first.values()) == [1, 2, 3]
 
 
-def test_random_rejects_small_palette_before_running():
-    g = complete_graph(3)
-    with pytest.raises(ValueError, match="palette"):
-        local_random_color(g, {v: {1, 2} for v in range(3)}, seed=0)
-
-
-def test_random_rejects_bad_palette_entries():
-    g = path_graph(2)
-    with pytest.raises(ValueError):
-        local_random_color(g, {0: {-1, 1}, 1: {1, 2}}, seed=0)
-    with pytest.raises(ValueError):
-        local_random_color(g, {7: {1}}, seed=0)
-
-
 def test_partial_participation_colors_only_palette_holders():
     g = path_graph(4)
-    coloring, _ = local_random_color(g, {0: {1, 2}, 1: {1, 2}}, seed=5)
+    free = {0: [1, 2], 1: [1, 2]}
+    peers = {v: tuple(filter(free.__contains__, g.neighbors(v))) for v in free}
+    coloring, _ = _color_rounds(free, peers, seed=5)
     assert set(coloring) == {0, 1}
     assert coloring[0] != coloring[1]
 
@@ -119,11 +106,13 @@ def test_random_coloring_ignores_palette_numbering(g, k):
     # Shifting every palette by k shifts every draw by k and changes nothing else.
     rng = random.Random(13)
     dense = {v: range(g.degree(v) + 1) for v in g.nodes()}  # holds 0
-    sparse = {v: rng.sample(range(3 * g.degree(v) + 3), g.degree(v) + 1) for v in g.nodes()}
+    sparse = {v: sorted(rng.sample(range(3 * g.degree(v) + 3), g.degree(v) + 1))
+              for v in g.nodes()}
     for palettes in (dense, sparse):
+        free = {v: list(pal) for v, pal in palettes.items()}
         shifted = {v: [c + k for c in pal] for v, pal in palettes.items()}
-        coloring, log = local_random_color(g, palettes, seed=21)
-        coloring_k, log_k = local_random_color(g, shifted, seed=21)
+        coloring, log = _color_rounds(free, g.adjacency(), seed=21)
+        coloring_k, log_k = _color_rounds(shifted, g.adjacency(), seed=21)
         assert coloring_k == {v: c + k for v, c in coloring.items()}
         assert log_k == log
 

@@ -1,7 +1,7 @@
 """The colorer and the slot builders against their node-by-node references.
 
 "Identical" means the same values in the same insertion order, the same
-RoundLog, and the same error type and message.
+RoundLog, and, for the slot builders, the same happy sets.
 """
 
 import random
@@ -9,13 +9,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairgather.coloring import first_fit, greedy_color, local_random_color
+from fairgather.coloring import _color_rounds, first_fit, greedy_color, local_random_color
 from fairgather.graph import ConflictGraph, gnp_random_graph
 from fairgather.schedulers import (
     PeriodicSchedule,
     Slot,
     degree_slots_distributed,
     degree_slots_sequential,
+    elias_schedule,
 )
 from oracles import (
     degree_slots_distributed_nodes,
@@ -51,10 +52,10 @@ def _graph(rng: random.Random, n: int) -> ConflictGraph:
     return ConflictGraph.from_edge_list("".join(lines))
 
 
-def _palettes(rng: random.Random, g: ConflictGraph, fault: str) -> tuple[dict, bool]:
-    """Palettes for a random subset of g's nodes: gaps, duplicates and maybe
-    color 0, in varied container types; fault breaks one of them. Also
-    says whether one was broken (a node-level fault needs a holder)."""
+def _palettes(rng: random.Random, g: ConflictGraph) -> dict:
+    """Palettes for a random subset of g's nodes, each with more colors than
+    participating neighbors: gaps, duplicates and maybe color 0, in varied
+    container types."""
     nodes = g.nodes()
     holders = [v for v in nodes if rng.random() < 0.8] if rng.random() < 0.5 else nodes
     chosen = set(holders)
@@ -65,39 +66,30 @@ def _palettes(rng: random.Random, g: ConflictGraph, fault: str) -> tuple[dict, b
         colors = rng.sample(range(rng.choice([0, 1]), 3 * size + 2), size)
         colors += rng.choices(colors, k=rng.randrange(3))  # duplicates
         palettes[v] = rng.choice([list, tuple, set, sorted])(colors)
-    if fault == "small" and holders:
-        v = rng.choice(holders)
-        need = sum(u in chosen for u in g.neighbors(v)) + 1
-        palettes[v] = list(range(5, 5 + need - 1))
-    elif fault == "negative" and holders:
-        palettes[rng.choice(holders)] = [-rng.randrange(1, 4), 1, 2]
-    elif fault == "unknown":
-        items = list(palettes.items())
-        items.insert(rng.randrange(len(items) + 1), (max(nodes, default=0) + 1, [1]))
-        palettes = dict(items)
-    else:
-        return palettes, False
-    return palettes, True
+    return palettes
 
 
-def _outcome(colorer, g, palettes, seed):
-    try:
-        coloring, log = colorer(g, palettes, seed=seed)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-    return list(coloring.items()), log
+def _restricted(g, palettes, seed):
+    """coloring._color_rounds on palettes in the reference's form."""
+    free = {v: sorted(set(colors)) for v, colors in palettes.items()}
+    peers = {v: tuple(filter(free.__contains__, g.neighbors(v))) for v in free}
+    return _color_rounds(free, peers, seed)
 
 
-@given(st.integers(0, 10**6), st.integers(0, 40), st.integers(-2**70, 2**70),
-       st.sampled_from(["default", "none", "none", "small", "negative", "unknown"]))
+@given(st.integers(0, 10**6), st.integers(0, 40), st.integers(-2**70, 2**70), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_random_coloring_matches_round_by_round_reference(case, n, seed, fault):
+def test_random_coloring_matches_round_by_round_reference(case, n, seed, restricted):
     rng = random.Random(case)
     g = _graph(rng, n)
-    palettes, broken = (None, False) if fault == "default" else _palettes(rng, g, fault)
-    fast = _outcome(local_random_color, g, palettes, seed)
-    assert fast == _outcome(local_random_color_rounds, g, palettes, seed)
-    assert (fast[0] is ValueError) == broken
+    if restricted:
+        palettes = _palettes(rng, g)
+        coloring, log = _restricted(g, palettes, seed)
+    else:
+        palettes = None
+        coloring, log = local_random_color(g, seed=seed)
+    ref, ref_log = local_random_color_rounds(g, palettes, seed=seed)
+    assert list(coloring.items()) == list(ref.items())
+    assert log == ref_log
 
 
 @given(st.integers(0, 10**6), st.integers(0, 40), st.integers(-2**70, 2**70))
@@ -114,6 +106,10 @@ def test_slot_builders_match_node_by_node_references(case, n, seed):
     for s, r in ((fast, ref), (dist, dist_ref)):
         assert [s.happy_set(t) for t in range(1, horizon + 1)] == \
             [r.happy_set(t) for t in range(1, horizon + 1)]
+    # Each builder gives the nodes of one (offset, level) one shared Slot object.
+    for s in (fast, dist, elias_schedule(g, greedy_color(g))):
+        slots = s.slots.values()
+        assert len(set(map(id, slots))) == len({(x.offset, x.level) for x in slots})
 
 
 @given(st.integers(0, 10**6), st.integers(0, 40))
