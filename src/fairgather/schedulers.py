@@ -12,14 +12,17 @@ Three ways to decide who is happy (hosts all their children) on holiday t:
 Holidays are numbered from t = 1. Every schedule answers happy(v, t) and
 guarantees the happy set is an independent set of its graph. Schedules are
 frozen once built; the dynamic edge operations return new schedule values.
+A new value shares its parent's coloring and slots dicts when the event
+changes no color, so those dicts are read-only: callers copy them to edit.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
-from itertools import filterfalse
+from functools import lru_cache
+from itertools import filterfalse, repeat
+from operator import contains
 from typing import AbstractSet, Callable, Iterable, Iterator, Protocol
 
 from . import codec
@@ -102,14 +105,23 @@ class PeriodicSchedule:
     def _with(self, graph: ConflictGraph, changed: dict[int, Slot]) -> PeriodicSchedule:
         """A schedule on graph whose slots are self's updated by changed.
 
-        self is left as it was: the new schedule shares every bucket no
-        changed node leaves or joins, and copies only the touched
-        per-period dicts and buckets. Emptied buckets stay, as happy_set
-        skips them. Subclass fields are copied shallowly.
+        self is left as it was. When no changed node's slot differs from
+        its slot in self (compared by identity first, then by value), the
+        new schedule shares self's slots dict and buckets outright.
+        Otherwise it copies the slots dict, and shares every bucket no
+        changed node leaves or joins: only the touched per-period dicts
+        and buckets are copied. Emptied buckets stay, as happy_set skips
+        them. Subclass fields are shared, as by a shallow copy.
         """
-        new = copy.copy(self)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
         new.graph = graph
-        new.slots = slots = dict(self.slots)
+        slots = self.slots
+        moved = [(v, old, slot) for v, slot in changed.items()
+                 if (old := slots.get(v)) is not slot and old != slot]
+        if not moved:
+            return new
+        new.slots = slots = dict(slots)
         buckets = new._buckets = dict(self._buckets)
 
         def bucket(slot: Slot) -> list[int]:
@@ -118,10 +130,7 @@ class PeriodicSchedule:
             members = by_offset[slot.offset] = list(by_offset.get(slot.offset, ()))
             return members
 
-        for v, slot in changed.items():
-            old = slots.get(v)
-            if old == slot:
-                continue
+        for v, old, slot in moved:
             if old is not None:
                 bucket(old).remove(v)
             bucket(slot).append(v)
@@ -170,10 +179,16 @@ class EliasSchedule(PeriodicSchedule):
         They may differ from self's only at the touched nodes and the edges
         at them. Given that self is proper, checking the touched nodes'
         edges is equivalent to the constructor's full check, and raises the
-        same error.
+        same error; like is_proper, it runs in C-level maps. coloring may be
+        self's own dict, when no color changed. The new schedule shares
+        self's slots and buckets when no touched node's slot changed, as
+        `_with` does.
         """
+        color = coloring.__getitem__
+        nbrs = map(graph.adjacency().__getitem__, touched)
+        # contains(iterator of w's neighbor colors, color of w), for every touched w.
         if len(coloring) != len(graph) or any(
-            coloring[w] == coloring[x] for w in touched for x in graph.neighbors(w)
+            map(contains, map(map, repeat(color), nbrs), map(color, touched))
         ):
             raise ValueError("coloring must be proper and color exactly the graph's nodes")
         new = self._with(graph, {w: _omega_slot(coloring[w]) for w in touched})
@@ -181,7 +196,13 @@ class EliasSchedule(PeriodicSchedule):
         return new
 
 
+@lru_cache(maxsize=1 << 12)
 def _omega_slot(c: int) -> Slot:
+    """Color c's slot, one object per color while c is among the 4096
+    colors asked for last: `_with` then sees an unchanged slot by identity.
+    The bound keeps arbitrary user colorings from growing the cache; a
+    slot made again after eviction is equal, and `_with` also compares
+    by value."""
     code = codec.omega_encode(c)
     return Slot(codec.code_residue(code), len(code))
 
@@ -365,18 +386,23 @@ def dynamic_insert(s: EliasSchedule, u: int, v: int) -> EliasSchedule:
     which never clashes. If two previously colored endpoints collide, the
     higher id moves to the smallest color its neighbors leave free; its
     palette grew along with its degree, so the new color is still at most
-    degree + 1. s is left unchanged; the new schedule shares its untouched
-    state, so an event costs O(deg) Python steps plus C-speed dict copies.
+    degree + 1. s is left unchanged. The new schedule copies s's graph,
+    one C-speed dict copy that shares every neighbor tuple. It copies s's
+    coloring, slots and touched buckets only when an endpoint gets a new
+    color or its first one, and shares them otherwise, so an event that
+    recolors nobody costs that graph copy plus O(deg u + deg v) steps.
     """
     g = s.graph.copy()
     g.insert_edge(u, v)
-    coloring = dict(s.coloring)
-    for w in sorted({u, v}):
-        if w not in coloring:
-            coloring[w] = smallest_free_color(g, coloring, w)
-    if coloring[u] == coloring[v]:
-        loser = max(u, v)
-        coloring[loser] = smallest_free_color(g, coloring, loser)
+    coloring = s.coloring
+    if u not in coloring or v not in coloring or coloring[u] == coloring[v]:
+        coloring = dict(coloring)  # an endpoint gets its first color or a new one
+        for w in sorted({u, v}):
+            if w not in coloring:
+                coloring[w] = smallest_free_color(g, coloring, w)
+        if coloring[u] == coloring[v]:
+            loser = max(u, v)
+            coloring[loser] = smallest_free_color(g, coloring, loser)
     return s._recolored(g, coloring, (u, v))
 
 
@@ -389,14 +415,20 @@ def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 
     a tunable slack: recoloring costs the neighbors nothing but churns the
     node's own period, so mild oversize is tolerated. A NaN threshold is
     rejected, since no color would ever compare greater than it. s is left
-    unchanged, at the cost stated in dynamic_insert.
+    unchanged; the new schedule copies and shares s's state as in
+    dynamic_insert, copying the coloring only when an endpoint's color
+    changes.
     """
     if math.isnan(recolor_threshold):
         raise ValueError("recolor threshold must be a number, got nan")
     g = s.graph.copy()
     g.remove_edge(u, v)
-    coloring = dict(s.coloring)
+    coloring = s.coloring
     for w in sorted((u, v)):
         if coloring[w] > recolor_threshold * (g.degree(w) + 1):
-            coloring[w] = smallest_free_color(g, coloring, w)
+            c = smallest_free_color(g, coloring, w)
+            if c != coloring[w]:  # a threshold below 1 can give w its own color back
+                if coloring is s.coloring:
+                    coloring = dict(coloring)
+                coloring[w] = c
     return s._recolored(g, coloring, (u, v))

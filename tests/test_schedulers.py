@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairgather.codec import omega_encode, rho
+from fairgather.codec import code_residue, omega_encode, rho
 from fairgather.coloring import (
     first_fit,
     greedy_color,
@@ -21,6 +21,7 @@ from fairgather.schedulers import (
     PeriodicSchedule,
     PhasedSchedule,
     Slot,
+    _omega_slot,
     degree_slots_distributed,
     degree_slots_sequential,
     dynamic_insert,
@@ -210,6 +211,14 @@ def test_elias_rejects_improper_coloring():
 def test_elias_rejects_coloring_of_unknown_nodes():
     with pytest.raises(ValueError, match="exactly the graph's nodes"):
         elias_schedule(path_graph(2), {0: 1, 1: 2, 99: 3})
+
+
+def test_omega_slot_is_one_object_per_color():
+    # Dynamic updates tell an unchanged slot by identity, so each color's
+    # slot must come back as the same object.
+    for c in range(1, 4097):
+        assert _omega_slot(c) is _omega_slot(c)
+        assert _omega_slot(c) == Slot(code_residue(omega_encode(c)), rho(c))
 
 
 def test_elias_single_color_per_holiday():
@@ -490,7 +499,7 @@ def _toggle(g, a, b):
 
 event_chains = st.lists(
     st.tuples(st.sampled_from(["toggle", "toggle", "toggle", "+", "-"]),
-              st.integers(0, 10), st.integers(0, 10), st.sampled_from([1.0, 2.0])),
+              st.integers(0, 10), st.integers(0, 10), st.sampled_from([0.5, 1.0, 2.0])),
     min_size=1, max_size=25,
 )
 
@@ -517,6 +526,12 @@ def test_persistent_updates_match_copying_reference(seed, events):
             s = dynamic_insert(s, u, v) if op == "+" else dynamic_remove(s, u, v, threshold)
             assert _reads(s) == _reads(ref)
             assert is_proper(s.graph, s.coloring) and periodic_conflicts(s) == []
+            # An event that changes no color shares its parent's coloring,
+            # slots and buckets; one that recolors shares none of them.
+            unchanged = s.coloring == old.coloring
+            assert (s.coloring is old.coloring) == unchanged
+            assert (s.slots is old.slots) == unchanged
+            assert (s._buckets is old._buckets) == unchanged
             # Writes to either version's graph stay out of the other one.
             pairs = [(u, v), (min(old.graph.nodes()), max(old.graph.nodes()))]
             for a, b in pairs:
