@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import filterfalse, repeat
 from operator import contains
 from typing import AbstractSet, Callable, Iterable, Iterator, Protocol
@@ -102,26 +101,24 @@ class PeriodicSchedule:
             slot = slots[members[0]]
             self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, []).extend(members)
 
-    def _with(self, graph: ConflictGraph, changed: dict[int, Slot]) -> PeriodicSchedule:
-        """A schedule on graph whose slots are self's updated by changed.
+    def _with(self, graph: ConflictGraph, moved: dict[int, Slot]) -> PeriodicSchedule:
+        """A schedule on graph whose slots are self's, except that each node
+        of moved takes the slot given there: a new one or its first one.
 
-        self is left as it was. When no changed node's slot differs from
-        its slot in self (compared by identity first, then by value), the
-        new schedule shares self's slots dict and buckets outright.
-        Otherwise it copies the slots dict, and shares every bucket no
-        changed node leaves or joins: only the touched per-period dicts
-        and buckets are copied. Emptied buckets stay, as happy_set skips
-        them. Subclass fields are shared, as by a shallow copy.
+        self is left as it was. With nothing moved, the new schedule shares
+        self's slots dict and buckets outright. Otherwise it copies the
+        slots dict, and shares every bucket no moved node leaves or joins:
+        only the touched per-period dicts and buckets are copied. Emptied
+        buckets stay, as happy_set skips them. Subclass fields are shared,
+        as by a shallow copy.
         """
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.graph = graph
-        slots = self.slots
-        moved = [(v, old, slot) for v, slot in changed.items()
-                 if (old := slots.get(v)) is not slot and old != slot]
         if not moved:
             return new
-        new.slots = slots = dict(slots)
+        old = self.slots
+        new.slots = {**old, **moved}
         buckets = new._buckets = dict(self._buckets)
 
         def bucket(slot: Slot) -> list[int]:
@@ -130,11 +127,10 @@ class PeriodicSchedule:
             members = by_offset[slot.offset] = list(by_offset.get(slot.offset, ()))
             return members
 
-        for v, old, slot in moved:
-            if old is not None:
-                bucket(old).remove(v)
+        for v, slot in moved.items():
+            if v in old:
+                bucket(old[v]).remove(v)
             bucket(slot).append(v)
-            slots[v] = slot
         return new
 
     def happy(self, v: int, t: int) -> bool:
@@ -172,18 +168,29 @@ class EliasSchedule(PeriodicSchedule):
         super().__init__(graph, slots)
 
     def _recolored(
-        self, graph: ConflictGraph, coloring: dict[int, int], touched: tuple[int, ...]
+        self, graph: ConflictGraph, recolor: Iterable[int], touched: tuple[int, ...]
     ) -> EliasSchedule:
-        """The schedule for graph and coloring, which it takes over.
+        """The schedule on graph after each node of recolor, in order, takes
+        the smallest color its neighbors in graph leave free.
 
-        They may differ from self's only at the touched nodes and the edges
-        at them. Given that self is proper, checking the touched nodes'
-        edges is equivalent to the constructor's full check, and raises the
-        same error; like is_proper, it runs in C-level maps. coloring may be
-        self's own dict, when no color changed. The new schedule shares
-        self's slots and buckets when no touched node's slot changed, as
-        `_with` does.
+        graph may differ from self's only at the touched nodes' edges, and
+        every node that graph adds must be in recolor. The coloring is
+        copied at the first node whose color changes, and only such nodes
+        get new slots, so with none the new schedule shares self's
+        coloring, slots and buckets. Given that self is proper, checking
+        the touched nodes' edges is equivalent to the constructor's full
+        check, and raises the same error; like is_proper, it runs in
+        C-level maps.
         """
+        coloring = self.coloring
+        moved: dict[int, Slot] = {}
+        for w in recolor:
+            c = smallest_free_color(graph, coloring, w)
+            if c != coloring.get(w):  # a threshold below 1 can give w its own color back
+                if coloring is self.coloring:
+                    coloring = dict(coloring)
+                coloring[w] = c
+                moved[w] = _omega_slot(c)
         color = coloring.__getitem__
         nbrs = map(graph.adjacency().__getitem__, touched)
         # contains(iterator of w's neighbor colors, color of w), for every touched w.
@@ -191,18 +198,13 @@ class EliasSchedule(PeriodicSchedule):
             map(contains, map(map, repeat(color), nbrs), map(color, touched))
         ):
             raise ValueError("coloring must be proper and color exactly the graph's nodes")
-        new = self._with(graph, {w: _omega_slot(coloring[w]) for w in touched})
+        new = self._with(graph, moved)
         new.coloring = coloring
         return new
 
 
-@lru_cache(maxsize=1 << 12)
 def _omega_slot(c: int) -> Slot:
-    """Color c's slot, one object per color while c is among the 4096
-    colors asked for last: `_with` then sees an unchanged slot by identity.
-    The bound keeps arbitrary user colorings from growing the cache; a
-    slot made again after eviction is equal, and `_with` also compares
-    by value."""
+    """Color c's slot: its omega codeword, read as in EliasSchedule."""
     code = codec.omega_encode(c)
     return Slot(codec.code_residue(code), len(code))
 
@@ -387,23 +389,18 @@ def dynamic_insert(s: EliasSchedule, u: int, v: int) -> EliasSchedule:
     higher id moves to the smallest color its neighbors leave free; its
     palette grew along with its degree, so the new color is still at most
     degree + 1. s is left unchanged. The new schedule copies s's graph,
-    one C-speed dict copy that shares every neighbor tuple. It copies s's
-    coloring, slots and touched buckets only when an endpoint gets a new
-    color or its first one, and shares them otherwise, so an event that
-    recolors nobody costs that graph copy plus O(deg u + deg v) steps.
+    one C-speed dict copy that shares every neighbor tuple, and hands
+    `_recolored` the nodes to recolor: the new endpoints, the higher one
+    on a clash, or none. An event that recolors nobody shares s's
+    coloring, slots and buckets, so it costs that graph copy plus
+    O(deg u + deg v) steps.
     """
     g = s.graph.copy()
     g.insert_edge(u, v)
-    coloring = s.coloring
-    if u not in coloring or v not in coloring or coloring[u] == coloring[v]:
-        coloring = dict(coloring)  # an endpoint gets its first color or a new one
-        for w in sorted({u, v}):
-            if w not in coloring:
-                coloring[w] = smallest_free_color(g, coloring, w)
-        if coloring[u] == coloring[v]:
-            loser = max(u, v)
-            coloring[loser] = smallest_free_color(g, coloring, loser)
-    return s._recolored(g, coloring, (u, v))
+    recolor = [w for w in sorted({u, v}) if w not in s.coloring]
+    if not recolor and s.coloring[u] == s.coloring[v]:
+        recolor = [max(u, v)]
+    return s._recolored(g, recolor, (u, v))
 
 
 def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 2.0) -> EliasSchedule:
@@ -415,20 +412,12 @@ def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 
     a tunable slack: recoloring costs the neighbors nothing but churns the
     node's own period, so mild oversize is tolerated. A NaN threshold is
     rejected, since no color would ever compare greater than it. s is left
-    unchanged; the new schedule copies and shares s's state as in
-    dynamic_insert, copying the coloring only when an endpoint's color
-    changes.
+    unchanged; the endpoints over the threshold go to `_recolored`, which
+    copies and shares s's state as in dynamic_insert.
     """
     if math.isnan(recolor_threshold):
         raise ValueError("recolor threshold must be a number, got nan")
     g = s.graph.copy()
     g.remove_edge(u, v)
-    coloring = s.coloring
-    for w in sorted((u, v)):
-        if coloring[w] > recolor_threshold * (g.degree(w) + 1):
-            c = smallest_free_color(g, coloring, w)
-            if c != coloring[w]:  # a threshold below 1 can give w its own color back
-                if coloring is s.coloring:
-                    coloring = dict(coloring)
-                coloring[w] = c
-    return s._recolored(g, coloring, (u, v))
+    over = [w for w in sorted((u, v)) if s.coloring[w] > recolor_threshold * (g.degree(w) + 1)]
+    return s._recolored(g, over, (u, v))

@@ -213,11 +213,8 @@ def test_elias_rejects_coloring_of_unknown_nodes():
         elias_schedule(path_graph(2), {0: 1, 1: 2, 99: 3})
 
 
-def test_omega_slot_is_one_object_per_color():
-    # Dynamic updates tell an unchanged slot by identity, so each color's
-    # slot must come back as the same object.
+def test_omega_slot_reads_the_color_codeword():
     for c in range(1, 4097):
-        assert _omega_slot(c) is _omega_slot(c)
         assert _omega_slot(c) == Slot(code_residue(omega_encode(c)), rho(c))
 
 
@@ -434,10 +431,16 @@ def test_dynamic_remove_rejects_nan_threshold():
 @pytest.mark.parametrize("touched", [(0, 2), (2, 0)])
 def test_derived_schedule_checks_every_touched_node(touched):
     s = elias_schedule(path_graph(3), {0: 1, 1: 2, 2: 1})
-    with pytest.raises(ValueError, match="coloring must be proper"):
-        s._recolored(s.graph.copy(), {0: 1, 1: 2, 2: 2}, touched)
-    with pytest.raises(ValueError, match="coloring must be proper"):
-        s._recolored(s.graph.copy(), {0: 1, 1: 2}, touched[:1])
+    g = s.graph.copy()
+    g.insert_edge(0, 2)  # joins the two nodes colored 1
+    for nodes in (touched, touched[:1], (1, touched[0])):
+        with pytest.raises(ValueError, match="coloring must be proper"):
+            s._recolored(g, [], nodes)
+    g = s.graph.copy()
+    g.insert_edge(2, 3)  # node 3 has no color
+    for nodes in ((2, 3), (2,)):
+        with pytest.raises(ValueError, match="coloring must be proper"):
+            s._recolored(g, [], nodes)
 
 
 def test_remove_matches_reference_on_every_small_path_coloring():
@@ -532,6 +535,18 @@ def test_persistent_updates_match_copying_reference(seed, events):
             assert (s.coloring is old.coloring) == unchanged
             assert (s.slots is old.slots) == unchanged
             assert (s._buckets is old._buckets) == unchanged
+            # A recoloring event copies only the per-period dicts and the
+            # buckets that a moved node leaves or joins.
+            moved = [w for w, c in s.coloring.items() if old.coloring.get(w) != c]
+            hit = {(slot.period, slot.offset) for w in moved
+                   for slot in (old.slots.get(w), s.slots[w]) if slot is not None}
+            hit_periods = {period for period, _ in hit}
+            for period, by_offset in s._buckets.items():
+                if period not in hit_periods:
+                    assert by_offset is old._buckets[period]
+                for offset, members in by_offset.items():
+                    if (period, offset) not in hit:
+                        assert members is old._buckets[period][offset]
             # Writes to either version's graph stay out of the other one.
             pairs = [(u, v), (min(old.graph.nodes()), max(old.graph.nodes()))]
             for a, b in pairs:

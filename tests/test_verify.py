@@ -73,6 +73,12 @@ def test_report_rejects_bad_windows():
         report(g, s, (3, 2))
 
 
+def test_missing_holidays_named_without_listing_the_window():
+    # Listing every missing holiday of this window would not fit in memory.
+    with pytest.raises(ValueError, match=r"happy sets missing holidays \[2, 3, 4\]$"):
+        report_from_happy_sets(path_graph(2), {1: {0}}, (1, 10**12))
+
+
 def test_report_flags_independence_violations():
     g = path_graph(2)
     happy_sets = {1: {0, 1}, 2: set()}
