@@ -205,24 +205,33 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     with open(args.events, encoding="utf-8") as fh:
         events = _parse_events(fh.read())
+    # The edge operations alone raise every error an event can, so replaying
+    # them on a copy first lets a bad line fail before any row is written.
+    check = g.copy()
+    for t in sorted(events):
+        for lineno, op, u, v in events[t]:
+            try:
+                if op == "+":
+                    check.insert_edge(u, v)
+                else:
+                    check.remove_edge(u, v)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    del check
 
     def replay() -> Iterator[set[int]]:
         s = schedulers.elias_schedule(g, greedy_color(g))
         # Events dated after the last row print nothing but must still apply.
         for t in sorted(events.keys() | range(1, holidays + 1)):
-            for lineno, op, u, v in events.get(t, ()):
-                try:
-                    if op == "+":
-                        s = schedulers.dynamic_insert(s, u, v)
-                    else:
-                        s = schedulers.dynamic_remove(s, u, v, recolor_threshold=args.threshold)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
+            for _, op, u, v in events.get(t, ()):
+                if op == "+":
+                    s = schedulers.dynamic_insert(s, u, v)
+                else:
+                    s = schedulers.dynamic_remove(s, u, v, recolor_threshold=args.threshold)
             if t <= holidays:
                 yield s.happy_set(t)
 
-    # Collected first: a bad event line must fail before any output is written.
-    _emit(list(_schedule_csv(replay())), args.output)
+    _emit(_schedule_csv(replay()), args.output)
     return 0
 
 

@@ -22,11 +22,73 @@ class ConflictGraph:
     them, and each edge appears once in each endpoint's tuple. An edge
     update replaces the two endpoint tuples and never changes one in place,
     so copy() shares every tuple and costs one O(n) dict copy.
-    Single-writer: mutate from one task only; reads may be shared freely.
+    Single-writer: mutate from one task only; reads may be shared freely,
+    except the first read of a stale graph, which writes (see below).
+
+    Versions (shallow binding, Baker 1978): `_derive()` hands the dict to a
+    successor in O(1). The stale graph keeps `_next` and an undo record,
+    node -> its tuple here or None if absent, which the successor's writes
+    fill with each changed node's first old tuple. The stale graph rebuilds
+    its own dict on first read: a copy of the newest dict, with the undo
+    records applied from the newest back. Either graph may then be written,
+    and neither write shows in the other. A stale graph keeps its successor
+    alive, and through it the chain of later versions and undo records.
     """
+
+    _log: dict[int, tuple[int, ...] | None] | None = None  # the predecessor's undo record
 
     def __init__(self) -> None:
         self._adj: dict[int, tuple[int, ...]] = {}
+
+    def __getattr__(self, name: str) -> dict[int, tuple[int, ...]]:
+        # Runs only when normal lookup fails, so a graph that owns its dict
+        # pays nothing; a stale one rebuilds it here, once.
+        if name != "_adj":
+            raise AttributeError(f"'ConflictGraph' object has no attribute {name!r}")
+        stale = [self]
+        newest = self._next
+        while "_adj" not in vars(newest):
+            stale.append(newest)
+            newest = newest._next
+        adj = dict(newest._adj)
+        for g in reversed(stale):
+            _undo(adj, g._undo)
+        self._next._log = None  # the successor's writes no longer concern this graph
+        del self._next, self._undo
+        self._adj = adj
+        return adj
+
+    def _derive(self) -> "ConflictGraph":
+        """A graph equal to this one that takes over its dict, in O(1).
+
+        This graph goes stale until it is next read; see the class
+        docstring. `_take_back()` undoes the hand-over.
+        """
+        g = object.__new__(ConflictGraph)
+        g._adj = self._adj
+        g._log = self._undo = {}
+        self._next = g
+        del self._adj
+        return g
+
+    def _take_back(self) -> None:
+        """Reclaim the dict that `_derive()` handed over, with the
+        successor's writes undone. The successor must not have been
+        derived from since, and is unusable afterwards."""
+        adj = vars(self._next).pop("_adj")
+        _undo(adj, self._undo)
+        del self._next, self._undo
+        self._adj = adj
+
+    def _writable(self, *nodes: int) -> dict[int, tuple[int, ...]]:
+        """The dict to write nodes' tuples into, once the predecessor's undo
+        record holds each node's first old tuple (None if absent)."""
+        adj, log = self._adj, self._log
+        if log is not None:
+            for v in nodes:
+                if v not in log:
+                    log[v] = adj.get(v)
+        return adj
 
     @classmethod
     def from_edge_list(cls, text: str) -> "ConflictGraph":
@@ -103,7 +165,7 @@ class ConflictGraph:
         if v < 0:
             raise ValueError(f"node ids must be non-negative, got {v}")
         if v not in self._adj:
-            self._adj[v] = ()
+            self._writable(v)[v] = ()
 
     def insert_edge(self, u: int, v: int) -> None:
         """Add edge (u, v), creating missing nodes. Rejects self-loops and duplicates."""
@@ -114,18 +176,20 @@ class ConflictGraph:
         for w in (u, v):  # both ids are checked before either node is added
             if w < 0:
                 raise ValueError(f"node ids must be non-negative, got {w}")
+        adj = self._writable(u, v)
         for a, b in ((u, v), (v, u)):
-            nbrs = self._adj.get(a, ())
+            nbrs = adj.get(a, ())
             i = bisect_left(nbrs, b)
-            self._adj[a] = nbrs[:i] + (b,) + nbrs[i:]
+            adj[a] = nbrs[:i] + (b,) + nbrs[i:]
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
             raise ValueError(f"no such edge {(min(u, v), max(u, v))}")
+        adj = self._writable(u, v)
         for a, b in ((u, v), (v, u)):
-            nbrs = self._adj[a]
+            nbrs = adj[a]
             i = bisect_left(nbrs, b)
-            self._adj[a] = nbrs[:i] + nbrs[i + 1:]
+            adj[a] = nbrs[:i] + nbrs[i + 1:]
 
     def has_node(self, v: int) -> bool:
         return v in self._adj
@@ -151,7 +215,12 @@ class ConflictGraph:
     def adjacency(self) -> Mapping[int, tuple[int, ...]]:
         """Read-only live view from each node, in nodes() order, to its
         neighbors() tuple. Its lookups run at C speed, so map() and set
-        algebra over many nodes pay no Python call per node."""
+        algebra over many nodes pay no Python call per node.
+
+        The view is of the dict, not of this graph: a view taken before a
+        dynamic event follows the dict to the newer version, so take a new
+        view of an older version after the event.
+        """
         return MappingProxyType(self._adj)
 
     def degree(self, v: int) -> int:
@@ -171,6 +240,8 @@ class ConflictGraph:
 
         The two graphs share every neighbor tuple; an edge update replaces
         tuples instead of changing them, so it never shows in the other graph.
+        The copy has no predecessor, so its writes are not logged. Dynamic
+        events use `_derive()` instead, which copies nothing.
         """
         g = ConflictGraph()
         g._adj = dict(self._adj)
@@ -214,6 +285,15 @@ class ConflictGraph:
             if nbrs and nbrs[-1] > u:  # checked before the bisect and the slice
                 higher = nbrs[bisect_right(nbrs, u):]
                 yield f"{u} " + f"\n{u} ".join(map(str, higher)) + "\n"
+
+
+def _undo(adj: dict[int, tuple[int, ...]], record: dict[int, tuple[int, ...] | None]) -> None:
+    """Give each node of record its tuple there, or drop it where that is None."""
+    for v, nbrs in record.items():
+        if nbrs is None:
+            del adj[v]
+        else:
+            adj[v] = nbrs
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:

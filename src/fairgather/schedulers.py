@@ -14,6 +14,8 @@ guarantees the happy set is an independent set of its graph. Schedules are
 frozen once built; the dynamic edge operations return new schedule values.
 A new value shares its parent's coloring and slots dicts when the event
 changes no color, so those dicts are read-only: callers copy them to edit.
+Its graph takes over the parent graph's adjacency dict, and the parent
+graph rebuilds its own the first time it is read.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ class Slot:
 class PeriodicSchedule:
     """Node v is happy exactly when t = slots[v].offset (mod slots[v].period).
 
-    Nodes are indexed by period and offset, so happy_set(t) reads one
-    bucket per distinct period: O(#distinct periods + |happy set|).
+    Nodes are indexed by period and offset in set buckets, so happy_set(t)
+    merges one set per distinct period at C speed, O(#distinct periods +
+    |happy set|), and a dynamic event moves a node between buckets in O(1).
     """
 
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
@@ -96,10 +99,10 @@ class PeriodicSchedule:
         groups: dict[int, list[int]] = {}
         for v, slot in slots.items():
             groups.setdefault(id(slot), []).append(v)
-        self._buckets: dict[int, dict[int, list[int]]] = {}
+        self._buckets: dict[int, dict[int, set[int]]] = {}
         for members in groups.values():
             slot = slots[members[0]]
-            self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, []).extend(members)
+            self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, set()).update(members)
 
     def _with(self, graph: ConflictGraph, moved: dict[int, Slot]) -> PeriodicSchedule:
         """A schedule on graph whose slots are self's, except that each node
@@ -121,16 +124,16 @@ class PeriodicSchedule:
         new.slots = {**old, **moved}
         buckets = new._buckets = dict(self._buckets)
 
-        def bucket(slot: Slot) -> list[int]:
+        def bucket(slot: Slot) -> set[int]:
             """slot's bucket in new, copied so that self's stays as it was."""
             by_offset = buckets[slot.period] = dict(buckets.get(slot.period, ()))
-            members = by_offset[slot.offset] = list(by_offset.get(slot.offset, ()))
+            members = by_offset[slot.offset] = set(by_offset.get(slot.offset, ()))
             return members
 
         for v, slot in moved.items():
             if v in old:
                 bucket(old[v]).remove(v)
-            bucket(slot).append(v)
+            bucket(slot).add(v)
         return new
 
     def happy(self, v: int, t: int) -> bool:
@@ -388,19 +391,24 @@ def dynamic_insert(s: EliasSchedule, u: int, v: int) -> EliasSchedule:
     which never clashes. If two previously colored endpoints collide, the
     higher id moves to the smallest color its neighbors leave free; its
     palette grew along with its degree, so the new color is still at most
-    degree + 1. s is left unchanged. The new schedule copies s's graph,
-    one C-speed dict copy that shares every neighbor tuple, and hands
-    `_recolored` the nodes to recolor: the new endpoints, the higher one
-    on a clash, or none. An event that recolors nobody shares s's
-    coloring, slots and buckets, so it costs that graph copy plus
-    O(deg u + deg v) steps.
+    degree + 1. s reads as it did: its graph hands its adjacency dict to
+    the new graph (`ConflictGraph._derive`) and rebuilds its own on first
+    read, and a rejected event hands the dict back unchanged. The new
+    graph gets the edge, and `_recolored` the nodes to recolor: the new
+    endpoints, the higher one on a clash, or none. An event that recolors
+    nobody shares s's coloring, slots and buckets, so it costs
+    O(deg u + deg v) steps, whatever n is.
     """
-    g = s.graph.copy()
-    g.insert_edge(u, v)
-    recolor = [w for w in sorted({u, v}) if w not in s.coloring]
-    if not recolor and s.coloring[u] == s.coloring[v]:
-        recolor = [max(u, v)]
-    return s._recolored(g, recolor, (u, v))
+    g = s.graph._derive()
+    try:
+        g.insert_edge(u, v)
+        recolor = [w for w in sorted({u, v}) if w not in s.coloring]
+        if not recolor and s.coloring[u] == s.coloring[v]:
+            recolor = [max(u, v)]
+        return s._recolored(g, recolor, (u, v))
+    except ValueError:
+        s.graph._take_back()
+        raise
 
 
 def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 2.0) -> EliasSchedule:
@@ -411,13 +419,17 @@ def dynamic_remove(s: EliasSchedule, u: int, v: int, recolor_threshold: float = 
     disproportionate to its shrunken neighborhood. The default factor 2 is
     a tunable slack: recoloring costs the neighbors nothing but churns the
     node's own period, so mild oversize is tolerated. A NaN threshold is
-    rejected, since no color would ever compare greater than it. s is left
-    unchanged; the endpoints over the threshold go to `_recolored`, which
-    copies and shares s's state as in dynamic_insert.
+    rejected, since no color would ever compare greater than it. The
+    endpoints over the threshold go to `_recolored`; s's graph hands over
+    its dict, and s's state is shared, as in dynamic_insert.
     """
     if math.isnan(recolor_threshold):
         raise ValueError("recolor threshold must be a number, got nan")
-    g = s.graph.copy()
-    g.remove_edge(u, v)
-    over = [w for w in sorted((u, v)) if s.coloring[w] > recolor_threshold * (g.degree(w) + 1)]
-    return s._recolored(g, over, (u, v))
+    g = s.graph._derive()
+    try:
+        g.remove_edge(u, v)
+        over = [w for w in sorted((u, v)) if s.coloring[w] > recolor_threshold * (g.degree(w) + 1)]
+        return s._recolored(g, over, (u, v))
+    except ValueError:
+        s.graph._take_back()
+        raise

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairgather.cli as cli
 import fairgather.coloring as coloring
+from fairgather import schedulers
 from fairgather.cli import _parse_schedule_csv, _schedule_csv, main
 from oracles import parse_schedule_csv
 
@@ -400,6 +402,23 @@ def test_dynamic_bad_event_leaves_no_output_file(tmp_path, capsys):
                                 "--holidays", "9", "--output", str(out)])
     assert (code, err) == (1, "fairgather: line 2: no such edge (5, 7)\n")
     assert not out.exists()
+
+
+def test_dynamic_streams_rows_as_events_apply(tmp_path, monkeypatch):
+    # Each row reaches the writer before the events of later holidays run.
+    g = write(tmp_path, "path.txt", PATH3)
+    events = write(tmp_path, "e.txt", "1 + 0 2\n4 - 0 2\n")
+    applied = []
+    insert, remove = schedulers.dynamic_insert, schedulers.dynamic_remove
+    monkeypatch.setattr(schedulers, "dynamic_insert",
+                        lambda *a: applied.append("+") or insert(*a))
+    monkeypatch.setattr(schedulers, "dynamic_remove",
+                        lambda *a, **k: applied.append("-") or remove(*a, **k))
+    done_per_piece = []  # the events applied when each piece was written
+    monkeypatch.setattr(cli, "_emit", lambda pieces, output: done_per_piece.extend(
+        "".join(applied) for _ in pieces))
+    assert main(["dynamic", "--input", g, "--events", events, "--holidays", "5"]) == 0
+    assert done_per_piece == ["", "+", "+", "+", "+-", "+-"]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

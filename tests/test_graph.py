@@ -278,6 +278,67 @@ def test_edge_store_matches_set_of_pairs_model(ops):
             _assert_matches_model(old, old_nodes, old_edges)
 
 
+version_ops = st.lists(
+    st.tuples(st.sampled_from(["+", "+", "-", "node", "derive", "derive", "read"]),
+              st.one_of(st.just(-1), st.integers(0, 20)), st.integers(0, 7), st.integers(0, 7)),
+    max_size=50,
+)
+
+
+@given(version_ops)
+@settings(max_examples=150, deadline=None)
+def test_derived_versions_match_their_models(ops):
+    # Each version has its own model. "derive" branches a new version off
+    # version i, which goes stale until read; writes and reads hit any
+    # version, the newest or a stale one, and never reach another version.
+    # Half the ops target the newest version (i = -1), so chains of stale
+    # versions are common.
+    versions = [(ConflictGraph(), [], set())]
+    for op, i, u, v in ops:
+        g, nodes, edges = versions[i if i < 0 else i % len(versions)]
+        key = (min(u, v), max(u, v))
+        if op == "derive":
+            versions.append((g._derive(), list(nodes), set(edges)))
+        elif op == "read":
+            _assert_matches_model(g, nodes, edges)
+        elif op == "node":
+            g.add_node(u)
+            if u not in nodes:
+                nodes.append(u)
+        elif op == "+" and u != v and key not in edges:
+            g.insert_edge(u, v)
+            nodes.extend(w for w in (u, v) if w not in nodes)
+            edges.add(key)
+        elif op == "-" and key in edges:
+            g.remove_edge(u, v)
+            edges.remove(key)
+    # Oldest first, so a stale version rebuilds through every later one.
+    for g, nodes, edges in versions:
+        _assert_matches_model(g, nodes, edges)
+
+
+def test_take_back_undoes_the_successors_writes():
+    g = ConflictGraph.from_edge_list("0 1\n1 2\nnode 3\n")
+    before = (g.nodes(), g.edges())
+    new = g._derive()
+    new.insert_edge(2, 3)
+    new.remove_edge(0, 1)
+    new.insert_edge(4, 5)
+    new.add_node(6)
+    g._take_back()
+    assert "_adj" in vars(g) and not {"_next", "_undo"} & vars(g).keys()
+    assert (g.nodes(), g.edges()) == before
+
+
+def test_adjacency_view_follows_the_dict_to_the_derived_graph():
+    g = ConflictGraph.from_edge_list("0 1\n")
+    view = g.adjacency()
+    new = g._derive()
+    new.insert_edge(1, 2)
+    assert dict(view) == dict(new.adjacency()) == {0: (1,), 1: (0, 2), 2: (1,)}
+    assert dict(g.adjacency()) == {0: (1,), 1: (0,)}
+
+
 @pytest.mark.parametrize(
     "builder,n,expected_edges",
     [(path_graph, 5, 4), (cycle_graph, 5, 5), (complete_graph, 5, 10), (star_graph, 5, 5)],

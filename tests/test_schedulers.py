@@ -6,7 +6,9 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from fairgather import schedulers
 from fairgather.codec import code_residue, omega_encode, rho
 from fairgather.coloring import (
     first_fit,
@@ -559,6 +561,154 @@ def test_persistent_updates_match_copying_reference(seed, events):
             versions.append((s, _reads(s)))
         for version, reads in versions:
             assert _reads(version) == reads
+
+
+def _assert_owns_its_dict(g):
+    """g owns its adjacency dict and holds no undo record. Checked before
+    any read, since reading a stale graph makes it own one."""
+    assert "_adj" in vars(g) and not {"_next", "_undo"} & vars(g).keys()
+
+
+# A rejected event leaves its schedule as it was and owning its dict. An
+# event on an older version, whose graph is stale, rebuilds the dict first,
+# so the graph owns one after the rejection too.
+
+
+def _path_schedule(stale):
+    """Path 0-1-2 colored 1, 2, 1, and its reads. With stale, an event has
+    since been derived from it, so its graph is stale."""
+    s = elias_schedule(path_graph(3), {0: 1, 1: 2, 2: 1})
+    before = _reads(s)
+    if stale:
+        dynamic_insert(s, 2, 3)
+    return s, before
+
+
+@pytest.mark.parametrize("stale", [False, True])
+@pytest.mark.parametrize("u, v, message", [
+    (1, 1, "self-loop at node 1"),
+    (1, 0, "duplicate edge (0, 1)"),
+    (-1, 2, "node ids must be non-negative, got -1"),
+    (2, -3, "node ids must be non-negative, got -3"),
+])
+def test_rejected_insert_keeps_the_parent_intact(stale, u, v, message):
+    s, before = _path_schedule(stale)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dynamic_insert(s, u, v)
+    _assert_owns_its_dict(s.graph)
+    assert _reads(s) == before
+
+
+@pytest.mark.parametrize("stale", [False, True])
+@pytest.mark.parametrize("u, v, message", [
+    (0, 2, "no such edge (0, 2)"),
+    (5, 7, "no such edge (5, 7)"),
+    (1, 1, "no such edge (1, 1)"),
+])
+def test_rejected_remove_keeps_the_parent_intact(stale, u, v, message):
+    s, before = _path_schedule(stale)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dynamic_remove(s, u, v)
+    _assert_owns_its_dict(s.graph)
+    assert _reads(s) == before
+
+
+def test_nan_threshold_keeps_the_parent_intact():
+    s, before = _path_schedule(stale=False)
+    with pytest.raises(ValueError, match="nan"):
+        dynamic_remove(s, 0, 1, recolor_threshold=float("nan"))
+    _assert_owns_its_dict(s.graph)
+    assert _reads(s) == before
+
+
+@pytest.mark.parametrize("stale", [False, True])
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_failed_touched_edge_check_keeps_the_parent_intact(monkeypatch, stale, op):
+    # A colorer that always answers 1 makes the recolored endpoint clash
+    # with a neighbor colored 1, after the new graph has been written.
+    s, before = _path_schedule(stale)
+    monkeypatch.setattr(schedulers, "smallest_free_color", lambda g, coloring, w: 1)
+    with pytest.raises(ValueError, match="coloring must be proper"):
+        if op == "+":
+            dynamic_insert(s, 0, 2)  # clash: node 2 keeps color 1
+        else:
+            dynamic_remove(s, 1, 2, recolor_threshold=0.1)  # node 1 takes 0's color
+    _assert_owns_its_dict(s.graph)
+    assert _reads(s) == before
+
+
+class DynamicVersions(RuleBasedStateMachine):
+    """Events on the newest and on older versions, reads of any version and
+    graph writes on any version, against the copy-everything reference.
+
+    Each version keeps its reference schedule and its reads as first made;
+    every read of a version, stale or not, must give those reads again.
+    """
+
+    @initialize(seed=st.integers(0, 99))
+    def start(self, seed):
+        g = gnp_random_graph(8, 0.35, seed=seed)
+        s = elias_schedule(g, greedy_color(g))
+        self.versions = [(s, s, _reads(s))]
+
+    def _event(self, i, op, u, v, threshold):
+        s, ref, reads = self.versions[i % len(self.versions)]
+        if op == "toggle":
+            op = "-" if ref.graph.has_edge(u, v) else "+"
+        try:
+            ref = _reference_insert(ref, u, v) if op == "+" else _reference_remove(ref, u, v, threshold)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                dynamic_insert(s, u, v) if op == "+" else dynamic_remove(s, u, v, threshold)
+            _assert_owns_its_dict(s.graph)
+            assert _reads(s) == reads
+        else:
+            s = dynamic_insert(s, u, v) if op == "+" else dynamic_remove(s, u, v, threshold)
+            self.versions.append((s, ref, _reads(ref)))
+
+    events = dict(op=st.sampled_from(["toggle", "toggle", "+", "-"]), u=st.integers(0, 10),
+                  v=st.integers(0, 10), threshold=st.sampled_from([0.5, 1.0, 2.0]))
+
+    @rule(**events)
+    def event_on_newest(self, op, u, v, threshold):
+        self._event(-1, op, u, v, threshold)
+
+    @rule(i=st.integers(0, 40), **events)
+    def event_on_older(self, i, op, u, v, threshold):
+        self._event(i, op, u, v, threshold)
+
+    @rule(i=st.integers(0, 40))
+    def read(self, i):
+        s, _, reads = self.versions[i % len(self.versions)]
+        assert _reads(s) == reads
+
+    @rule(i=st.integers(0, 40), j=st.integers(0, 40), a=st.integers(0, 10), b=st.integers(0, 10))
+    def toggle_and_restore(self, i, j, a, b):
+        # Version i's graph gets an edge toggled; version j, read in
+        # between, must not see it, and restoring it gives i's reads back.
+        s, _, reads = self.versions[i % len(self.versions)]
+        other, _, other_reads = self.versions[j % len(self.versions)]
+        if a == b or not (s.graph.has_node(a) and s.graph.has_node(b)):
+            return
+        _toggle(s.graph, a, b)
+        if other is not s:
+            assert _reads(other) == other_reads
+        _toggle(s.graph, a, b)
+        assert _reads(s) == reads
+
+    @invariant()
+    def newest_matches_reference(self):
+        s, ref, reads = self.versions[-1]
+        assert _reads(s) == reads
+        assert is_proper(s.graph, s.coloring) and periodic_conflicts(s) == []
+
+    def teardown(self):
+        for s, _, reads in getattr(self, "versions", ()):
+            assert _reads(s) == reads
+
+
+TestDynamicVersions = DynamicVersions.TestCase
+TestDynamicVersions.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 
 
 @given(st.integers(0, 10**6))
