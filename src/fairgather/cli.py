@@ -219,7 +219,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
                 raise ValueError(f"line {lineno}: {exc}") from None
     del check
 
-    def replay() -> Iterator[set[int]]:
+    def replay() -> Iterator[frozenset[int]]:
         s = schedulers.elias_schedule(g, greedy_color(g))
         # Events dated after the last row print nothing but must still apply.
         for t in sorted(events.keys() | range(1, holidays + 1)):

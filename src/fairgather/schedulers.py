@@ -10,12 +10,14 @@ Three ways to decide who is happy (hosts all their children) on holiday t:
   when t = x (mod 2**j), with 2**j <= 2 * max(degree, 1).
 
 Holidays are numbered from t = 1. Every schedule answers happy(v, t) and
-guarantees the happy set is an independent set of its graph. Schedules are
-frozen once built; the dynamic edge operations return new schedule values.
-A new value shares its parent's coloring and slots dicts when the event
-changes no color, so those dicts are read-only: callers copy them to edit.
-Its graph takes over the parent graph's adjacency dict, and the parent
-graph rebuilds its own the first time it is read.
+guarantees the happy set is an independent set of its graph. happy_set(t)
+returns a frozenset that the schedule may own and hand out again, on later
+holidays and from later versions. Schedules are frozen once built; the
+dynamic edge operations return new schedule values. A new value shares its
+parent's coloring and slots dicts when the event changes no color, so
+those dicts are read-only: callers copy them to edit. Its graph takes over
+the parent graph's adjacency dict, and the parent graph rebuilds its own
+the first time it is read.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
 from operator import contains
-from typing import AbstractSet, Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from . import codec
 from .coloring import RoundLog, _color_rounds, is_proper, smallest_free_color
@@ -32,13 +34,17 @@ from .graph import ConflictGraph
 
 
 class Schedule(Protocol):
-    """What every schedule answers on its graph: happy(v, t) and happy_set(t)."""
+    """What every schedule answers on its graph: happy(v, t) and happy_set(t).
+
+    happy_set(t) returns an immutable set, which the schedule may share
+    between holidays and between versions: callers keep it as it is.
+    """
 
     graph: ConflictGraph
 
     def happy(self, v: int, t: int) -> bool: ...
 
-    def happy_set(self, t: int) -> AbstractSet[int]: ...
+    def happy_set(self, t: int) -> frozenset[int]: ...
 
 
 class PhasedSchedule:
@@ -84,9 +90,12 @@ class Slot:
 class PeriodicSchedule:
     """Node v is happy exactly when t = slots[v].offset (mod slots[v].period).
 
-    Nodes are indexed by period and offset in set buckets, so happy_set(t)
-    merges one set per distinct period at C speed, O(#distinct periods +
-    |happy set|), and a dynamic event moves a node between buckets in O(1).
+    Nodes are indexed by period and offset in frozenset buckets. happy_set(t)
+    looks up one bucket per distinct period; when only one is non-empty, as
+    on every holiday of an EliasSchedule that has hosts, it returns that
+    bucket itself, in O(#distinct periods). Only several hits are merged,
+    in C. A dynamic event replaces the buckets a node leaves or joins, in
+    O(class size).
     """
 
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
@@ -94,15 +103,17 @@ class PeriodicSchedule:
         self.slots = slots
         # _level_slots, behind both degree-bound builders, and EliasSchedule
         # share one Slot object per (offset, level), so the nodes are grouped
-        # per object and the buckets filled per group; equal Slot objects
-        # that are not shared still fill one bucket.
+        # per object and each bucket is frozen once from its group's list,
+        # which sizes its table for its members; equal Slot objects that are
+        # not shared still fill one bucket.
         groups: dict[int, list[int]] = {}
         for v, slot in slots.items():
             groups.setdefault(id(slot), []).append(v)
-        self._buckets: dict[int, dict[int, set[int]]] = {}
+        self._buckets: dict[int, dict[int, frozenset[int]]] = {}
         for members in groups.values():
             slot = slots[members[0]]
-            self._buckets.setdefault(slot.period, {}).setdefault(slot.offset, set()).update(members)
+            by_offset = self._buckets.setdefault(slot.period, {})
+            by_offset[slot.offset] = by_offset.get(slot.offset, frozenset()).union(members)
 
     def _with(self, graph: ConflictGraph, moved: dict[int, Slot]) -> PeriodicSchedule:
         """A schedule on graph whose slots are self's, except that each node
@@ -111,9 +122,9 @@ class PeriodicSchedule:
         self is left as it was. With nothing moved, the new schedule shares
         self's slots dict and buckets outright. Otherwise it copies the
         slots dict, and shares every bucket no moved node leaves or joins:
-        only the touched per-period dicts and buckets are copied. Emptied
-        buckets stay, as happy_set skips them. Subclass fields are shared,
-        as by a shallow copy.
+        only the touched per-period dicts are copied, and a touched bucket
+        is replaced by a new frozenset. Emptied buckets stay, as happy_set
+        skips them. Subclass fields are shared, as by a shallow copy.
         """
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
@@ -123,17 +134,13 @@ class PeriodicSchedule:
         old = self.slots
         new.slots = {**old, **moved}
         buckets = new._buckets = dict(self._buckets)
-
-        def bucket(slot: Slot) -> set[int]:
-            """slot's bucket in new, copied so that self's stays as it was."""
-            by_offset = buckets[slot.period] = dict(buckets.get(slot.period, ()))
-            members = by_offset[slot.offset] = set(by_offset.get(slot.offset, ()))
-            return members
-
         for v, slot in moved.items():
             if v in old:
-                bucket(old[v]).remove(v)
-            bucket(slot).add(v)
+                left = old[v]
+                by_offset = buckets[left.period] = dict(buckets[left.period])
+                by_offset[left.offset] = by_offset[left.offset] - {v}
+            by_offset = buckets[slot.period] = dict(buckets.get(slot.period, ()))
+            by_offset[slot.offset] = by_offset.get(slot.offset, frozenset()) | {v}
         return new
 
     def happy(self, v: int, t: int) -> bool:
@@ -143,13 +150,11 @@ class PeriodicSchedule:
     def period(self, v: int) -> int:
         return self.slots[v].period
 
-    def happy_set(self, t: int) -> set[int]:
-        out: set[int] = set()
-        for period, by_offset in self._buckets.items():
-            bucket = by_offset.get(t % period)
-            if bucket:
-                out.update(bucket)
-        return out
+    def happy_set(self, t: int) -> frozenset[int]:
+        """The one non-empty matching bucket itself, else the union of all of them."""
+        hits = [bucket for period, by_offset in self._buckets.items()
+                if (bucket := by_offset.get(t % period))]
+        return hits[0] if len(hits) == 1 else frozenset().union(*hits)
 
 
 class EliasSchedule(PeriodicSchedule):

@@ -229,6 +229,27 @@ def test_elias_single_color_per_holiday():
         assert len(colors) <= 1
 
 
+def test_elias_happy_set_is_the_stored_bucket():
+    # At most one color class hosts on a holiday, so the schedule hands out
+    # its own compact bucket, the same object every period, not a copy.
+    g = gnp_random_graph(60, 0.1, seed=4)
+    s = elias_schedule(g, greedy_color(g))
+    P = max(s.period(v) for v in g.nodes())
+    hosting = [t for t in range(1, P + 1) if s.happy_set(t)]
+    assert len(hosting) > P // 2
+    for t in hosting:
+        hs = s.happy_set(t)
+        assert type(hs) is frozenset and hs is s.happy_set(t + P), t
+        assert sys.getsizeof(hs) <= sys.getsizeof(frozenset(list(hs))), t
+    # An event that recolors nobody shares the buckets, so the newer
+    # version hands out the very same sets.
+    u, v = next((u, v) for u in g.nodes() for v in g.nodes()
+                if u < v and not g.has_edge(u, v) and s.coloring[u] != s.coloring[v])
+    newer = dynamic_insert(s, u, v)
+    assert newer.coloring is s.coloring
+    assert all(newer.happy_set(t) is s.happy_set(t) for t in hosting)
+
+
 # ----------------------------------------------------------------- slots
 
 
@@ -643,6 +664,7 @@ class DynamicVersions(RuleBasedStateMachine):
 
     Each version keeps its reference schedule and its reads as first made;
     every read of a version, stale or not, must give those reads again.
+    Happy sets kept from any version must keep their members.
     """
 
     @initialize(seed=st.integers(0, 99))
@@ -650,6 +672,7 @@ class DynamicVersions(RuleBasedStateMachine):
         g = gnp_random_graph(8, 0.35, seed=seed)
         s = elias_schedule(g, greedy_color(g))
         self.versions = [(s, s, _reads(s))]
+        self.kept = []
 
     def _event(self, i, op, u, v, threshold):
         s, ref, reads = self.versions[i % len(self.versions)]
@@ -695,6 +718,20 @@ class DynamicVersions(RuleBasedStateMachine):
             assert _reads(other) == other_reads
         _toggle(s.graph, a, b)
         assert _reads(s) == reads
+
+    @rule(i=st.integers(0, 40), t=st.integers(1, 64))
+    def keep_happy_set(self, i, t):
+        # The returned set may be a bucket that later versions share, so
+        # it must stay equal to this version's scan as taken now.
+        s = self.versions[i % len(self.versions)][0]
+        hs = s.happy_set(t)
+        assert type(hs) is frozenset
+        self.kept.append((hs, tuple(sorted(_scan(s, t)))))
+
+    @invariant()
+    def kept_happy_sets_stay_as_returned(self):
+        for hs, scan in getattr(self, "kept", ()):
+            assert tuple(sorted(hs)) == scan
 
     @invariant()
     def newest_matches_reference(self):
@@ -748,6 +785,7 @@ def test_every_scheduler_yields_independent_happy_sets(seed, n):
     for s in schedules:
         for t in range(1, horizon + 1):
             happy = s.happy_set(t)
+            assert type(happy) is frozenset, (type(s).__name__, t)
             for u, v in g.edges():
                 assert not (u in happy and v in happy)
 
@@ -762,7 +800,8 @@ def _scan(s, t):
 def _assert_happy_sets_match_scan(s):
     horizon = 4 * max((s.period(v) for v in s.graph.nodes()), default=1)
     for t in range(1, horizon + 1):
-        assert s.happy_set(t) == _scan(s, t), t
+        hs = s.happy_set(t)
+        assert type(hs) is frozenset and hs == _scan(s, t), t
 
 
 @given(st.integers(0, 10**6), st.integers(1, 16), st.sampled_from([0.1, 0.3, 0.6]))
