@@ -80,7 +80,8 @@ def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, set[int
     """
     rows = list(graph.data_lines(text))
     if not rows or rows[0][1] != "holiday,happy":
-        raise ValueError("schedule CSV must start with header 'holiday,happy'")
+        where = f"line {rows[0][0]}: " if rows else ""  # an empty file has no line to name
+        raise ValueError(f"{where}schedule CSV must start with header 'holiday,happy'")
     node_of = {str(v): v for v in nodes}.get
     happy_sets: dict[int, set[int]] = {}
     for lineno, ln in rows[1:]:
@@ -160,12 +161,15 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     max_color = _at_least_one("--max-color", args.max_color)
-    lines = ["color,rho,period,phi,upper_bound\n"]
-    for c in range(1, max_color + 1):
-        r = codec.rho(c)
-        bound = analysis.elias_period_bound(c)
-        lines.append(f"{c},{r},{1 << r},{analysis.phi(c):.6g},{bound:.6g}\n")
-    _emit(lines, args.output)
+
+    def rows() -> Iterator[str]:
+        yield "color,rho,period,phi,upper_bound\n"
+        for c in range(1, max_color + 1):
+            r = codec.rho(c)
+            bound = analysis.elias_period_bound(c)
+            yield f"{c},{r},{1 << r},{analysis.phi(c):.6g},{bound:.6g}\n"
+
+    _emit(rows(), args.output)
     return 0
 
 
@@ -205,31 +209,32 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     with open(args.events, encoding="utf-8") as fh:
         events = _parse_events(fh.read())
+    # Event op -> (its edit of a graph, its event on a schedule).
+    ops = {
+        "+": (graph.ConflictGraph.insert_edge, schedulers.dynamic_insert),
+        "-": (graph.ConflictGraph.remove_edge,
+              lambda s, u, v: schedulers.dynamic_remove(s, u, v, args.threshold)),
+    }
     # The edge operations alone raise every error an event can, so replaying
     # them on a copy first lets a bad line fail before any row is written.
+    # Events dated after the last row are checked here and change no row.
     check = g.copy()
     for t in sorted(events):
         for lineno, op, u, v in events[t]:
+            edit, _ = ops[op]
             try:
-                if op == "+":
-                    check.insert_edge(u, v)
-                else:
-                    check.remove_edge(u, v)
+                edit(check, u, v)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     del check
 
     def replay() -> Iterator[frozenset[int]]:
         s = schedulers.elias_schedule(g, greedy_color(g))
-        # Events dated after the last row print nothing but must still apply.
-        for t in sorted(events.keys() | range(1, holidays + 1)):
+        for t in range(1, holidays + 1):
             for _, op, u, v in events.get(t, ()):
-                if op == "+":
-                    s = schedulers.dynamic_insert(s, u, v)
-                else:
-                    s = schedulers.dynamic_remove(s, u, v, recolor_threshold=args.threshold)
-            if t <= holidays:
-                yield s.happy_set(t)
+                _, event = ops[op]
+                s = event(s, u, v)
+            yield s.happy_set(t)
 
     _emit(_schedule_csv(replay()), args.output)
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, filterfalse, repeat
 from operator import contains, not_
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from .graph import ConflictGraph
 
@@ -48,9 +48,17 @@ def is_proper(g: ConflictGraph, coloring: Mapping[int, int]) -> bool:
     adj = g.adjacency()
     if not all(map(coloring.__contains__, adj)):
         return False
-    color = coloring.__getitem__
+    return not _clashes(coloring.__getitem__, adj, adj.values())
+
+
+def _clashes(color: Callable[[int], int], nodes: Iterable[int], nbrs: Iterable) -> bool:
+    """True iff some node of nodes shares its color with a neighbor.
+
+    nbrs gives each node's neighbors, in the order of nodes. Runs in C-level
+    maps, with no Python step per node or edge.
+    """
     # contains(iterator of v's neighbor colors, color of v), for every node v.
-    return not any(map(contains, map(map, repeat(color), adj.values()), map(color, adj)))
+    return any(map(contains, map(map, repeat(color), nbrs), map(color, nodes)))
 
 
 def first_fit(taken: Container[int], start: int = 1) -> int:

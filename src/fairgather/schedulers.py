@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
-from operator import contains
+from itertools import filterfalse
 from typing import Callable, Iterable, Iterator, Protocol
 
 from . import codec
-from .coloring import RoundLog, _color_rounds, is_proper, smallest_free_color
+from .coloring import RoundLog, _clashes, _color_rounds, is_proper, smallest_free_color
 from .graph import ConflictGraph
 
 
@@ -187,8 +186,8 @@ class EliasSchedule(PeriodicSchedule):
         get new slots, so with none the new schedule shares self's
         coloring, slots and buckets. Given that self is proper, checking
         the touched nodes' edges is equivalent to the constructor's full
-        check, and raises the same error; like is_proper, it runs in
-        C-level maps.
+        check, and raises the same error; it is is_proper's C-level clash
+        test, `_clashes`, on the touched nodes alone.
         """
         coloring = self.coloring
         moved: dict[int, Slot] = {}
@@ -199,12 +198,8 @@ class EliasSchedule(PeriodicSchedule):
                     coloring = dict(coloring)
                 coloring[w] = c
                 moved[w] = _omega_slot(c)
-        color = coloring.__getitem__
         nbrs = map(graph.adjacency().__getitem__, touched)
-        # contains(iterator of w's neighbor colors, color of w), for every touched w.
-        if len(coloring) != len(graph) or any(
-            map(contains, map(map, repeat(color), nbrs), map(color, touched))
-        ):
+        if len(coloring) != len(graph) or _clashes(coloring.__getitem__, touched, nbrs):
             raise ValueError("coloring must be proper and color exactly the graph's nodes")
         new = self._with(graph, moved)
         new.coloring = coloring

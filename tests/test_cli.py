@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,15 @@ def test_gen_without_nodes_names_node_count(capsys, kind):
     assert err == f"fairgather: {kind} needs at least one node\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "gnp", "--nodes", "-1"], "node count must be non-negative"),
+    (["--kind", "gnp", "--nodes", "5", "--p", "1.5"], "edge probability must lie in [0, 1]"),
+    (["--kind", "cycle", "--nodes", "2"], "cycle needs at least three nodes"),
+])
+def test_gen_rejects_bad_sizes_and_probabilities(capsys, argv, message):
+    assert run(capsys, ["gen", *argv]) == (1, "", f"fairgather: {message}\n")
+
+
 @pytest.mark.parametrize("event", ["2 - 0 1\n", "2 + 0 2\n"])
 def test_dynamic_rejects_nan_threshold(tmp_path, capsys, event):
     # The inserts-only file never reaches dynamic_remove's own check.
@@ -240,6 +250,20 @@ def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
     assert code == 1
     assert out == ""
     assert err.startswith(f"fairgather: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "schedule CSV must start with header 'holiday,happy'"),
+    ("# only a comment\n\n", "schedule CSV must start with header 'holiday,happy'"),
+    ("# made by hand\n\n1,0\nholiday,happy\n",
+     "line 3: schedule CSV must start with header 'holiday,happy'"),
+    ("happy,holiday\n1,0\n", "line 1: schedule CSV must start with header 'holiday,happy'"),
+])
+def test_verify_rejects_missing_header(tmp_path, capsys, text, message):
+    g = write(tmp_path, "path.txt", PATH3)
+    csv = write(tmp_path, "s.csv", text)
+    argv = ["verify", "--input", g, "--schedule", csv, "--window", "1"]
+    assert run(capsys, argv) == (1, "", f"fairgather: {message}\n")
 
 
 CSV_NODES = frozenset(range(10)) | {10**6, 10**6 + 1}
@@ -368,6 +392,13 @@ def test_dynamic_has_no_seed_flag(tmp_path):
     ("2 + 1 1", "self-loop at node 1"),
     ("2 + 2 0", "duplicate edge (0, 2)"),
     ("2 + -1 2", "node ids must be non-negative, got -1"),
+    ("2 + 0", "expected 't + u v' or 't - u v'"),
+    ("2 + 0 1 3", "expected 't + u v' or 't - u v'"),
+    ("2 * 0 1", "expected 't + u v' or 't - u v'"),
+    ("x + 0 1", "malformed event"),
+    ("2 - 0 y", "malformed event"),
+    ("0 + 0 2", "holidays are numbered from 1"),
+    ("-1 - 0 1", "holidays are numbered from 1"),
 ])
 def test_dynamic_event_errors_report_line(tmp_path, capsys, event, message):
     g = write(tmp_path, "path.txt", PATH3)
@@ -379,6 +410,7 @@ def test_dynamic_event_errors_report_line(tmp_path, capsys, event, message):
 
 
 def test_dynamic_applies_events_after_last_holiday(tmp_path, capsys):
+    # Events after the last row are checked, not replayed: they change no row.
     g = write(tmp_path, "path.txt", PATH3)
     bad = write(tmp_path, "bad.txt", "1 + 0 2\n9 - 5 7\n")
     code, out, err = run(capsys, ["dynamic", "--input", g, "--events", bad, "--holidays", "3"])
@@ -419,6 +451,24 @@ def test_dynamic_streams_rows_as_events_apply(tmp_path, monkeypatch):
         "".join(applied) for _ in pieces))
     assert main(["dynamic", "--input", g, "--events", events, "--holidays", "5"]) == 0
     assert done_per_piece == ["", "+", "+", "+", "+-", "+-"]
+
+
+def test_dynamic_memory_does_not_grow_with_holidays(tmp_path):
+    # Rows stream to the file and nothing is kept per holiday; a set of the
+    # 300,000 holidays alone would take about 20 MB.
+    g = write(tmp_path, "path.txt", "0 1\n1 2\n2 3\n")
+    events = write(tmp_path, "e.txt", "2 + 0 2\n5 - 0 2\n")
+    out = str(tmp_path / "out.csv")
+    tracemalloc.start()
+    try:
+        assert main(["dynamic", "--input", g, "--events", events,
+                     "--holidays", "300000", "--output", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    with open(out, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 300_001
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
