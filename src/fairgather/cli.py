@@ -70,31 +70,38 @@ def _schedule_csv(happy_sets: Iterable[AbstractSet[int]]) -> Iterator[str]:
         yield f"{t},{';'.join(map(text, sorted(happy)))}\n"
 
 
-def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, set[int]]:
+def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, frozenset[int]]:
     """Holiday -> happy set; rows naming a node outside nodes are rejected.
 
     Ids are looked up in a table of the nodes' canonical spellings, so a
-    row costs one dict lookup per id; a row with any other token (empty,
-    padded, signed, zero-padded, unknown or malformed) is parsed with int()
-    and checked in full.
+    row costs one dict lookup per id, and each distinct canonical row text
+    is parsed once: later lines with the same text share its frozenset. A
+    row with any other token (empty, padded, signed, zero-padded, unknown
+    or malformed) is parsed with int() and checked in full.
     """
     rows = list(graph.data_lines(text))
     if not rows or rows[0][1] != "holiday,happy":
         where = f"line {rows[0][0]}: " if rows else ""  # an empty file has no line to name
         raise ValueError(f"{where}schedule CSV must start with header 'holiday,happy'")
     node_of = {str(v): v for v in nodes}.get
-    happy_sets: dict[int, set[int]] = {}
+    parsed: dict[str, frozenset[int]] = {}  # canonical row text -> its happy set
+    happy_sets: dict[int, frozenset[int]] = {}
     for lineno, ln in rows[1:]:
         t_str, comma, ids = ln.partition(",")
-        tokens = ids.split(";")
-        happy = set(map(node_of, tokens))
-        canonical = None not in happy  # every token is a node's canonical spelling
+        happy = parsed.get(ids)
+        canonical = happy is not None
+        if not canonical:
+            tokens = ids.split(";")
+            happy = frozenset(map(node_of, tokens))
+            canonical = None not in happy  # every token is a node's canonical spelling
+            if canonical:
+                parsed[ids] = happy
         try:
             if not comma:
                 raise ValueError("no comma")
             t = int(t_str)
             if not canonical:
-                happy = set(map(int, filter(None, tokens)))
+                happy = frozenset(map(int, filter(None, tokens)))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed schedule row {ln!r}") from None
         if t < 1:

@@ -9,11 +9,15 @@ are anchored at each node's first happy holiday: the warm-up before a node
 first hosts is bounded separately by its initial color and is not counted
 against theorem-level bounds.
 
-An audit over R rows costs O(hosting events) Python appends, O(n) Python
-steps to group the nodes by hosting pattern, O(n + m) C-speed lookups that
-find the patterns next to each pattern, and O(R) C-speed work per distinct
-pattern and per pair of adjacent patterns: one R-bit mask OR, not one per
-edge. Nodes with equal hosting patterns share one frozen NodeStats.
+An audit over R rows keys them by value: O(R) Python steps and one
+C-speed hash per row (plus a copy for a row that is not a frozenset). The
+hosts of each distinct row are then transposed once, not once per holiday
+that repeats it, so a periodic schedule's audit does not grow with its
+hosting events. On top come O(n) Python steps to group the nodes by
+hosting pattern, O(n + m) C-speed lookups that find the patterns next to
+each pattern, and O(R) work per distinct pattern and per pair of adjacent
+patterns: one R-bit mask OR, not one per edge. Nodes with equal hosting
+patterns share one frozen NodeStats.
 """
 
 from __future__ import annotations
@@ -104,18 +108,26 @@ def report_from_happy_sets(
     any row is listed. Violations come by ascending holiday, then in
     happy-set order, then in neighbor order.
 
-    One pass over the rows builds each node's hosting pattern: the tuple
-    of holidays on which it hosts. An unknown node fails its lookup in
-    that pass, so the first row in holiday order that lists one is named.
-    Per distinct pattern, a flag row over the R row ranks gives an R-bit
-    mask and the window's statistics, which every node with that pattern
-    shares. Then, per distinct pattern, one C-speed pass over its members'
-    neighbor tuples collects the set of patterns next to it; its mask
-    ANDed with the OR of their masks holds exactly its members'
-    conflicting rows, and only those rows are scanned for the violating
-    pairs. The cost is O(hosting events) Python appends, O(n) Python steps,
-    O(n + m) C-speed lookups and O(R) C-speed work per distinct pattern and
-    per pair of adjacent patterns.
+    Rows are keyed by value: each distinct row is numbered by its first
+    holiday, and one pass over the distinct rows, in that order, gives
+    each node its signature, the first holidays of the rows that hold it.
+    An unknown node fails its lookup in that pass, so the first holiday
+    that lists one is named. Nodes are grouped by signature, and each
+    distinct signature is expanded once into its hosting pattern, the
+    sorted tuple of holidays on which its nodes host; when every row is
+    distinct, the signature is the pattern. Per distinct pattern, a flag
+    row over the R row ranks gives an R-bit mask and the window's
+    statistics, which every node with that pattern shares. Then, per
+    distinct pattern, one C-speed pass over its members' neighbor tuples
+    collects the set of patterns next to it; its mask ANDed with the OR of
+    their masks holds exactly its members' conflicting rows, and only
+    those rows are scanned for the violating pairs, each holiday's in its
+    own row's iteration order (equal frozensets may iterate differently).
+    The cost is O(R) Python steps plus a C-speed hash (and for a row that
+    is not a frozenset, a copy) per row, one Python append per node of
+    each distinct row, O(n) Python steps, O(n + m)
+    C-speed lookups and O(R) work per distinct pattern and per pair of
+    adjacent patterns.
     """
     t0, t1 = window
     if t0 < 1 or t1 < t0:
@@ -126,12 +138,20 @@ def report_from_happy_sets(
         raise ValueError(f"happy sets missing holidays {missing}")
 
     adj = g.adjacency()
-    hosting: dict[int, list[int]] = {v: [] for v in adj}
     rows = sorted(happy_sets)
+    # Each distinct row value is numbered by its first holiday. frozenset()
+    # returns a frozenset row itself, so such a row costs one cached hash.
+    first: dict[frozenset[int], int] = {}
+    sharing: dict[int, list[int]] = {}  # first holiday -> the holidays with that row
+    for t in rows:
+        sharing.setdefault(first.setdefault(frozenset(happy_sets[t]), t), []).append(t)
+    repeats = len(first) < len(rows)
+    # A node's signature: the first holidays of the distinct rows that hold it.
+    signatures: dict[int, list[int]] = {v: [] for v in adj}
     try:
-        for t in rows:
-            for u in happy_sets[t]:
-                hosting[u].append(t)
+        for hs, t in first.items():
+            for u in hs:
+                signatures[u].append(t)
     except KeyError:
         unknown = sorted(v for v in happy_sets[t] if v not in adj)
         raise ValueError(f"holiday {t} lists unknown nodes {unknown[:3]}") from None
@@ -142,11 +162,14 @@ def report_from_happy_sets(
     lo, hi = rank[t0], rank[t1] + 1
     # A pattern's id is the position of the first node that has it.
     ids: dict[tuple[int, ...], int] = {}
-    pids = list(map(ids.setdefault, map(tuple, hosting.values()), count()))
+    pids = list(map(ids.setdefault, map(tuple, signatures.values()), count()))
     masks: dict[int, int] = {}
     shared: dict[int, NodeStats] = {}
     members: dict[int, list[int]] = {}  # keyed in the same order as masks
-    for pattern, i in ids.items():
+    for signature, i in ids.items():
+        # With every row distinct, the signature is the hosting pattern.
+        pattern = (tuple(sorted(chain.from_iterable(map(sharing.__getitem__, signature))))
+                   if repeats else signature)
         row = blank[:]
         for t in pattern:
             row[rank[t]] = 49  # b"1"

@@ -252,6 +252,32 @@ def test_verify_rejects_bad_schedule_rows(tmp_path, capsys, row, message):
     assert err.startswith(f"fairgather: {message}")
 
 
+@pytest.mark.parametrize("row, message", [
+    ("3,00;2", None),
+    ("3, 0;2", None),
+    ("3,0; 2", None),
+    ("3,0;2;7", "line 4: holiday 3 lists unknown nodes [7]"),
+    ("3,0;2;x", "line 4: malformed schedule row '3,0;2;x'"),
+    ("x,0;2", "line 4: malformed schedule row 'x,0;2'"),
+    ("0,0;2", "line 4: holidays are numbered from 1"),
+    ("2,0;2", "line 4: duplicate holiday 2 in schedule CSV"),
+])
+def test_verify_checks_each_line_after_a_repeated_row_text(tmp_path, capsys, row, message):
+    # Lines 2 and 3 share one row text, which is parsed once; line 4 names
+    # the same ids in another spelling, or repeats the text on a bad line,
+    # and is parsed and checked on its own.
+    g = write(tmp_path, "path.txt", PATH3)
+    csv = write(tmp_path, "s.csv", f"holiday,happy\n1,0;2\n2,0;2\n{row}\n")
+    code, out, err = run(capsys, ["verify", "--input", g, "--schedule", csv, "--window", "3"])
+    if message is None:
+        canonical = write(tmp_path, "c.csv", "holiday,happy\n1,0;2\n2,0;2\n3,0;2\n")
+        argv = ["verify", "--input", g, "--schedule", canonical, "--window", "3"]
+        assert (code, out, err) == run(capsys, argv)
+        assert code == 0 and out.splitlines()[1] == "0,3,1,0,1,1"
+    else:
+        assert (code, out, err) == (1, "", f"fairgather: {message}\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "schedule CSV must start with header 'holiday,happy'"),
     ("# only a comment\n\n", "schedule CSV must start with header 'holiday,happy'"),
@@ -292,6 +318,17 @@ def _csv_outcome(parse, text):
 @settings(max_examples=300)
 def test_parse_schedule_csv_matches_int_per_id_oracle(rows):
     text = "holiday,happy\n" + "".join(row + "\n" for row in rows)
+    assert _csv_outcome(_parse_schedule_csv, text) == _csv_outcome(parse_schedule_csv, text)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["", " 2", "x", "0"]) | st.integers(1, 9).map(str),
+                          st.integers(0, 2)), max_size=10),
+       st.lists(st.lists(csv_tokens, max_size=4), min_size=3, max_size=3))
+@settings(max_examples=200)
+def test_parse_schedule_csv_with_repeated_row_texts_matches_oracle(lines, pool):
+    # A few id texts, each on many lines: a text is parsed once and shared
+    # when canonical, and checked again on every line otherwise.
+    text = "holiday,happy\n" + "".join(f"{t},{';'.join(pool[i])}\n" for t, i in lines)
     assert _csv_outcome(_parse_schedule_csv, text) == _csv_outcome(parse_schedule_csv, text)
 
 

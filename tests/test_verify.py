@@ -451,6 +451,14 @@ def test_every_node_with_its_own_pattern_matches_references():
     ({3: {5}, 2: {9, 8}, 1: {0}}, (1, 3), "holiday 2 lists unknown nodes [8, 9]"),
     # an unknown id only in a row past the window
     ({1: {0}, 2: {1}, 5: {6}}, (1, 2), "holiday 5 lists unknown nodes [6]"),
+    # a repeated row, built as a frozenset and as a set: its earliest holiday
+    ({1: {0}, 2: frozenset({1, 7}), 3: {7, 1}, 4: frozenset({1, 7})}, (1, 4),
+     "holiday 2 lists unknown nodes [7]"),
+    # a repeated row first seen before a later row with the same unknown id
+    ({4: {8}, 3: {0, 8}, 2: {8}, 1: {0, 8}}, (1, 4), "holiday 1 lists unknown nodes [8]"),
+    # a repeated row whose earliest holiday is past the window
+    ({1: {2}, 2: {0}, 3: {0, 9}, 4: {2}, 5: frozenset({9, 0})}, (1, 2),
+     "holiday 3 lists unknown nodes [9]"),
     # a row with both a conflict and an unknown id raises
     ({1: {0, 1, 4}}, (1, 1), "holiday 1 lists unknown nodes [4]"),
 ])
@@ -459,3 +467,64 @@ def test_unknown_nodes_name_the_first_row_that_lists_them(happy_sets, window, me
 
     with pytest.raises(ValueError, match=re.escape(message)):
         report_from_happy_sets(path_graph(3), happy_sets, window)
+
+
+# ------------------------------------------- equal rows as different objects
+
+
+def _spread(g, factor):
+    """g with node v renamed factor * v, so that the ids of a small row
+    collide in a set's hash table and its iteration order follows the order
+    in which the row was built."""
+    out = ConflictGraph()
+    for v in g.nodes():
+        out.add_node(factor * v)
+    for u, v in g.edges():
+        out.insert_edge(factor * u, factor * v)
+    return out
+
+
+# Three ways to build one row value: they compare equal, but the last two
+# add the ids in reverse, so on colliding ids they can iterate differently.
+_BUILDS = (
+    frozenset,
+    lambda ids: frozenset().union(*[frozenset({v}) for v in reversed(ids)]),
+    lambda ids: set(reversed(ids)),
+)
+
+
+def test_equal_rows_keep_their_own_violation_order():
+    # Edges 1-9 and 3-17 clash on both holidays; the two rows are equal, but
+    # holiday 2's set lists 17 and 3 before 9 and 1.
+    g = ConflictGraph.from_edge_list("1 9\n3 17\n")
+    happy_sets = {1: _BUILDS[0]([1, 3, 9, 17]), 2: _BUILDS[1]([1, 3, 9, 17])}
+    assert happy_sets[1] == happy_sets[2] and list(happy_sets[1]) != list(happy_sets[2])
+    rep = _assert_matches_references(g, happy_sets, (1, 2))
+    assert rep.independence_violations == ((1, 1, 9), (1, 3, 17), (2, 3, 17), (2, 1, 9))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 30),
+    st.sampled_from([1, 8, 16]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=24),
+    st.integers(1, 24),
+    st.integers(1, 24),
+)
+@settings(max_examples=150, deadline=None)
+def test_equal_rows_built_differently_match_references(seed, n, factor, picks, a, b):
+    # Each holiday picks a pooled row value and one of _BUILDS, so equal
+    # rows come as different objects, frozensets and sets mixed, in
+    # different iteration orders. Pool row 0 holds both ends of an edge, so
+    # its conflict recurs on every holiday that repeats it.
+    import random
+
+    rng = random.Random(seed)
+    g = _spread(gnp_random_graph(n, 0.2, seed=seed), factor)
+    pool = [sorted(v for v in g.nodes() if rng.random() < 0.5) for _ in range(3)]
+    if g.edges():
+        pool[0] = sorted(set(pool[0]).union(rng.choice(g.edges())))
+    happy_sets = {t: _BUILDS[k](pool[i]) for t, (i, k) in enumerate(picks, start=1)}
+    last = len(picks)
+    t0, t1 = sorted((min(a, last), min(b, last)))
+    _assert_matches_references(g, happy_sets, (t0, t1))
