@@ -89,13 +89,12 @@ def _parse_schedule_csv(text: str, nodes: AbstractSet[int]) -> dict[int, frozens
     for lineno, ln in rows[1:]:
         t_str, comma, ids = ln.partition(",")
         happy = parsed.get(ids)
-        canonical = happy is not None
-        if not canonical:
+        if happy is None:
             tokens = ids.split(";")
             happy = frozenset(map(node_of, tokens))
-            canonical = None not in happy  # every token is a node's canonical spelling
-            if canonical:
-                parsed[ids] = happy
+        canonical = None not in happy  # every token is a node's canonical spelling
+        if canonical:
+            parsed[ids] = happy
         try:
             if not comma:
                 raise ValueError("no comma")
