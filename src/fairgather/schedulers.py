@@ -12,12 +12,13 @@ Three ways to decide who is happy (hosts all their children) on holiday t:
 Holidays are numbered from t = 1. Every schedule answers happy(v, t) and
 guarantees the happy set is an independent set of its graph. happy_set(t)
 returns a frozenset that the schedule may own and hand out again, on later
-holidays and from later versions. Schedules are frozen once built; the
-dynamic edge operations return new schedule values. A new value shares its
-parent's coloring and slots dicts when the event changes no color, so
-those dicts are read-only: callers copy them to edit. Its graph takes over
-the parent graph's adjacency dict, and the parent graph rebuilds its own
-the first time it is read.
+holidays and from later versions: a periodic schedule returns its stored
+buckets, and stores the union it builds where several buckets match.
+Schedules are frozen once built; the dynamic edge operations return new
+schedule values. A new value shares its parent's coloring and slots dicts
+when the event changes no color, so those dicts are read-only: callers
+copy them to edit. Its graph takes over the parent graph's adjacency
+dict, and the parent graph rebuilds its own the first time it is read.
 """
 
 from __future__ import annotations
@@ -86,15 +87,41 @@ class Slot:
         return 1 << self.level
 
 
+_EMPTY: frozenset[int] = frozenset()
+
+# A schedule's merged rows hold at most this many node entries per scheduled
+# node. The slot schedules of G(200,000, 10**-5) fill up to 6.4, while a
+# clique beside many isolated nodes, where every row merges one clique node
+# with all the isolated ones, would fill without bound.
+_ROW_ENTRIES_PER_NODE = 8
+
+
+class _Rows(dict):
+    """A schedule's merged happy sets, keyed by the tuple of buckets each
+    merges. room counts the node entries it may still take; versions that
+    share the dict share the room."""
+
+    __slots__ = ("room",)
+
+    def __init__(self, nodes: int):
+        super().__init__()
+        self.room = _ROW_ENTRIES_PER_NODE * nodes
+
+
 class PeriodicSchedule:
     """Node v is happy exactly when t = slots[v].offset (mod slots[v].period).
 
     Nodes are indexed by period and offset in frozenset buckets. happy_set(t)
     looks up one bucket per distinct period; when only one is non-empty, as
     on every holiday of an EliasSchedule that has hosts, it returns that
-    bucket itself, in O(#distinct periods). Only several hits are merged,
-    in C. A dynamic event replaces the buckets a node leaves or joins, in
-    O(class size).
+    bucket itself, in O(#distinct periods), and with none it returns one
+    shared empty set. Several hits are merged once, the first time they
+    are asked for, and the merged row is handed out again on every later
+    holiday with the same hits. The periods are powers of two, so the
+    highest-period hit fixes the others: a schedule merges at most one row
+    per non-empty bucket. The stored rows hold at most 8 node entries per
+    scheduled node; past that, rows are merged per call. A dynamic event
+    replaces the buckets a node leaves or joins, in O(class size).
     """
 
     def __init__(self, graph: ConflictGraph, slots: dict[int, Slot]):
@@ -113,17 +140,19 @@ class PeriodicSchedule:
             slot = slots[members[0]]
             by_offset = self._buckets.setdefault(slot.period, {})
             by_offset[slot.offset] = by_offset.get(slot.offset, frozenset()).union(members)
+        self._rows = _Rows(len(slots))
 
     def _with(self, graph: ConflictGraph, moved: dict[int, Slot]) -> PeriodicSchedule:
         """A schedule on graph whose slots are self's, except that each node
         of moved takes the slot given there: a new one or its first one.
 
         self is left as it was. With nothing moved, the new schedule shares
-        self's slots dict and buckets outright. Otherwise it copies the
-        slots dict, and shares every bucket no moved node leaves or joins:
-        only the touched per-period dicts are copied, and a touched bucket
-        is replaced by a new frozenset. Emptied buckets stay, as happy_set
-        skips them. Subclass fields are shared, as by a shallow copy.
+        self's slots dict, buckets and merged rows outright. Otherwise it
+        copies the slots dict, and shares every bucket no moved node leaves
+        or joins: only the touched per-period dicts are copied, a touched
+        bucket is replaced by a new frozenset, and the merged rows start
+        afresh. Emptied buckets stay, as happy_set skips them. Subclass
+        fields are shared, as by a shallow copy.
         """
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
@@ -132,6 +161,7 @@ class PeriodicSchedule:
             return new
         old = self.slots
         new.slots = {**old, **moved}
+        new._rows = _Rows(len(new.slots))
         buckets = new._buckets = dict(self._buckets)
         for v, slot in moved.items():
             if v in old:
@@ -150,10 +180,24 @@ class PeriodicSchedule:
         return self.slots[v].period
 
     def happy_set(self, t: int) -> frozenset[int]:
-        """The one non-empty matching bucket itself, else the union of all of them."""
+        """The one non-empty matching bucket itself, else the union of all of
+        them, stored on first use and handed out again while there is room."""
         hits = [bucket for period, by_offset in self._buckets.items()
                 if (bucket := by_offset.get(t % period))]
-        return hits[0] if len(hits) == 1 else frozenset().union(*hits)
+        if len(hits) == 1:
+            return hits[0]
+        if not hits:
+            return _EMPTY
+        # The key tuple hashes its buckets' cached hashes and compares them
+        # by identity first, so a lookup costs O(#hits), not O(row).
+        rows, key = self._rows, tuple(hits)
+        row = rows.get(key)
+        if row is None:
+            row = frozenset().union(*hits)
+            if len(row) <= rows.room:
+                rows.room -= len(row)
+                rows[key] = row
+        return row
 
 
 class EliasSchedule(PeriodicSchedule):

@@ -10,14 +10,17 @@ first hosts is bounded separately by its initial color and is not counted
 against theorem-level bounds.
 
 An audit over R rows keys them by value: O(R) Python steps and one
-C-speed hash per row (plus a copy for a row that is not a frozenset). The
-hosts of each distinct row are then transposed once, not once per holiday
-that repeats it, so a periodic schedule's audit does not grow with its
-hosting events. On top come O(n) Python steps to group the nodes by
-hosting pattern, O(n + m) C-speed lookups that find the patterns next to
-each pattern, and O(R) work per distinct pattern and per pair of adjacent
-patterns: one R-bit mask OR, not one per edge. Nodes with equal hosting
-patterns share one frozen NodeStats.
+C-speed hash per row object (plus a copy for a row that is not a
+frozenset). A frozenset keeps its hash, and a row object met again is
+found by identity, so the rows a periodic schedule stores and hands out
+again cost one hash each in all. The hosts of each distinct row are then
+transposed once, not once per holiday that repeats it, so a periodic
+schedule's audit does not grow with its hosting events. On top come O(n)
+Python steps to group the nodes by hosting pattern, O(n + m) C-speed
+lookups that find the patterns next to each pattern, and O(R) work per
+distinct pattern and per pair of adjacent patterns: one R-bit mask OR,
+not one per edge. Nodes with equal hosting patterns share one frozen
+NodeStats.
 """
 
 from __future__ import annotations

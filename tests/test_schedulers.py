@@ -798,10 +798,13 @@ def _scan(s, t):
 
 
 def _assert_happy_sets_match_scan(s):
-    horizon = 4 * max((s.period(v) for v in s.graph.nodes()), default=1)
-    for t in range(1, horizon + 1):
+    # The schedule repeats every P holidays, and so do the sets it hands
+    # out: a bucket, a merged row or the shared empty set.
+    P = max((s.period(v) for v in s.graph.nodes()), default=1)
+    for t in range(1, 4 * P + 1):
         hs = s.happy_set(t)
         assert type(hs) is frozenset and hs == _scan(s, t), t
+        assert hs is s.happy_set(t + P), t
 
 
 @given(st.integers(0, 10**6), st.integers(1, 16), st.sampled_from([0.1, 0.3, 0.6]))
@@ -828,3 +831,34 @@ def test_happy_set_matches_scan_after_dynamic_events(seed):
         else:
             s = dynamic_insert(s, u, v)
     _assert_happy_sets_match_scan(s)
+
+
+def test_moving_nodes_starts_a_fresh_row_memo():
+    g = gnp_random_graph(14, 0.3, seed=7)
+    s = degree_slots_sequential(g)
+    _assert_happy_sets_match_scan(s)
+    assert s._rows and s._with(s.graph, {})._rows is s._rows
+    moved = {v: Slot((s.slots[v].offset + 1) % s.period(v), s.slots[v].level)
+             for v in sorted(g.nodes())[:3]}
+    newer = s._with(s.graph, moved)
+    _assert_happy_sets_match_scan(newer)
+    _assert_happy_sets_match_scan(s)
+    # The newer version keeps only the rows it hands out itself.
+    P = max(map(newer.period, g.nodes()))
+    handed_out = {id(newer.happy_set(t)) for t in range(P)}
+    assert set(map(id, newer._rows.values())) <= handed_out
+
+
+def test_merged_rows_stay_within_their_cap():
+    # Every holiday merges one clique node with all the isolated nodes, so
+    # the 64 distinct rows hold 64 * 2,001 node entries, far past 8 * n.
+    g = complete_graph(64)
+    for v in range(64, 2064):
+        g.add_node(v)
+    s = degree_slots_sequential(g)
+    P, cap = max(map(s.period, g.nodes())), 8 * len(g)
+    assert P == 64
+    for t in range(1, 2 * P + 1):
+        assert s.happy_set(t) == _scan(s, t), t
+        assert sum(map(len, s._rows.values())) <= cap, t
+    assert 0 < len(s._rows) < P
